@@ -86,28 +86,53 @@ def _r_squared(y: np.ndarray, pred: np.ndarray) -> float:
     return 1.0 - ss_res / ss_tot
 
 
+def _solve_active_set(
+    X: np.ndarray, y: np.ndarray, constrained: np.ndarray, zeroed: list[int]
+) -> tuple[np.ndarray, bool, float]:
+    """OLS with the `zeroed` columns clamped to zero.
+
+    Returns the coefficients, whether every constrained one is nonnegative,
+    and the residual sum of squares (inf when infeasible).
+    """
+    ncols = X.shape[1]
+    keep = [j for j in range(ncols) if j not in zeroed]
+    beta = np.zeros(ncols)
+    if keep:
+        sol, *_ = np.linalg.lstsq(X[:, keep], y, rcond=None)
+        beta[keep] = sol
+    if np.any(beta[constrained] < 0):
+        return beta, False, np.inf
+    return beta, True, float(np.sum((y - X @ beta) ** 2))
+
+
+def _zeroed_columns(constrained: np.ndarray, mask: int) -> list[int]:
+    return [constrained[i] for i in range(len(constrained)) if mask >> i & 1]
+
+
 def _constrained_lstsq(
-    X: np.ndarray, y: np.ndarray, nonneg: np.ndarray
+    X: np.ndarray,
+    y: np.ndarray,
+    nonneg: np.ndarray,
+    solved: dict[int, tuple[np.ndarray, bool, float]] | None = None,
 ) -> np.ndarray:
     """OLS with selected coefficients constrained nonnegative.
 
     Enumerates active sets over the constrained columns (at most 2^3 here)
-    and returns the feasible candidate with the smallest residual.
+    and returns the feasible candidate with the smallest residual. Bit i of
+    an active-set mask clamps the i-th constrained column; `solved` maps
+    masks to results the caller has already computed for this X and y.
     """
-    ncols = X.shape[1]
     constrained = np.flatnonzero(nonneg)
     best = None
     best_res = np.inf
     for mask in range(1 << len(constrained)):
-        zeroed = [constrained[i] for i in range(len(constrained)) if mask >> i & 1]
-        keep = [j for j in range(ncols) if j not in zeroed]
-        beta = np.zeros(ncols)
-        if keep:
-            sol, *_ = np.linalg.lstsq(X[:, keep], y, rcond=None)
-            beta[keep] = sol
-        if np.any(beta[constrained] < 0):
+        if solved is not None and mask in solved:
+            beta, feasible, res = solved[mask]
+        else:
+            zeroed = _zeroed_columns(constrained, mask)
+            beta, feasible, res = _solve_active_set(X, y, constrained, zeroed)
+        if not feasible:
             continue
-        res = float(np.sum((y - X @ beta) ** 2))
         if best is None or res < best_res - 1e-12 * max(1.0, best_res):
             best_res = res
             best = beta
@@ -279,16 +304,30 @@ def fit_dot_dtheta(
         decay_col = window_average(decay_col, window)
         level_col = window_average(level_col, window)
         notes.append(f"fit on window-{window} moving averages")
+
+    def design(shift: float) -> np.ndarray:
+        hyp_col = 1.0 / (t + shift)
+        if smooth:
+            hyp_col = window_average(hyp_col, window)
+        return np.column_stack([decay_col, level_col, hyp_col])
+
+    # Active sets that clamp hyperbolic_amp (mask bit 2) never see the
+    # shifted column: their solution, feasibility and residual are the same
+    # at every shift, so they are solved once, on the first shift's design.
+    nonneg = np.array([True, True, True])
+    constrained = np.flatnonzero(nonneg)
+    X0 = design(HYPERBOLIC_SHIFT_GRID[0])
+    shift_free = {
+        mask: _solve_active_set(X0, y_fit, constrained, _zeroed_columns(constrained, mask))
+        for mask in range(4, 8)
+    }
     best = None
     best_res = np.inf
     best_shift = None
     best_pred = None
     for shift in HYPERBOLIC_SHIFT_GRID:
-        hyp_col = 1.0 / (t + shift)
-        if smooth:
-            hyp_col = window_average(hyp_col, window)
-        X = np.column_stack([decay_col, level_col, hyp_col])
-        beta = _constrained_lstsq(X, y_fit, np.array([True, True, True]))
+        X = design(shift)
+        beta = _constrained_lstsq(X, y_fit, nonneg, solved=shift_free)
         pred = X @ beta
         res = float(np.sum((y_fit - pred) ** 2))
         if best is None or res < best_res - 1e-12 * max(1.0, best_res):

@@ -15,6 +15,8 @@ specs or arguments, 3 for I/O failures.
 from __future__ import annotations
 
 import argparse
+import csv
+import json
 import sys
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict
@@ -141,28 +143,19 @@ def cmd_run(args) -> int:
     return 0
 
 
-_MODEL_COLUMN = {
-    "g_norm": "g_norm",
-    "m_norm": "m_norm",
-    "v_norm": "v_norm",
-    "dot_m": "dot_m",
-    "dot_dtheta": "dot_dtheta",
-}
-
-
 def cmd_fit(args) -> int:
     trace = read_trace_csv(args.trace)
-    column = _MODEL_COLUMN[args.model]
     rows = trace.epoch_rows(args.epoch)
     if len(rows) == 0:
         print(f"error: trace has no rows for epoch {args.epoch}", file=sys.stderr)
         return 2
-    y = getattr(trace, column)[rows]
+    # each model is fitted to the trace column of the same name
+    y = getattr(trace, args.model)[rows]
     t = trace.step[rows].astype(float)
     finite = np.isfinite(y)
     if not np.any(finite):
         print(
-            f"error: trace column {column!r} carries no values for epoch "
+            f"error: trace column {args.model!r} carries no values for epoch "
             f"{args.epoch} (probes disabled?)",
             file=sys.stderr,
         )
@@ -190,8 +183,6 @@ def cmd_fit(args) -> int:
     if beta2 is None or (beta1 is None and args.model in _NEEDS_BETA1):
         meta_path = Path(args.trace).with_name("meta.json")
         if meta_path.exists():
-            import json
-
             with open(meta_path) as fh:
                 meta = json.load(fh)
             conf = meta.get("config", {})
@@ -220,10 +211,8 @@ def cmd_fit(args) -> int:
     out_dir = Path(args.out) if args.out else Path(args.trace).parent
     out_dir.mkdir(parents=True, exist_ok=True)
     fitted = evaluate_fit(fit, t)
-    import csv as _csv
-
     with open(out_dir / f"fit_{args.model}.csv", "w", newline="") as fh:
-        writer = _csv.writer(fh)
+        writer = csv.writer(fh)
         writer.writerow(["key", "value"])
         writer.writerow(["model", fit.model])
         writer.writerow(["epoch", args.epoch])
@@ -236,7 +225,7 @@ def cmd_fit(args) -> int:
         writer.writerow(["degenerate", str(fit.degenerate).lower()])
         writer.writerow(["notes", "; ".join(fit.notes)])
     with open(out_dir / f"overlay_{args.model}.csv", "w", newline="") as fh:
-        writer = _csv.writer(fh)
+        writer = csv.writer(fh)
         writer.writerow(["t", "observed", "fitted"])
         for ti, yi, fi in zip(t, y, fitted):
             writer.writerow([repr(float(ti)), repr(float(yi)), repr(float(fi))])
@@ -334,10 +323,8 @@ def cmd_nshape(args) -> int:
     betas, cosines = nshape_sweep(grad, momentum, v_prev, g_squared)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
-    import csv as _csv
-
     with open(out_dir / "nshape.csv", "w", newline="") as fh:
-        writer = _csv.writer(fh)
+        writer = csv.writer(fh)
         writer.writerow(["beta2", "cosine"])
         for b, c in zip(betas, cosines):
             writer.writerow([repr(float(b)), repr(float(c))])

@@ -156,6 +156,27 @@ class RunConfig:
             raise ValueError("probe_stride must be >= 1")
         if self.divergence_ceiling <= 0:
             raise ValueError("divergence_ceiling must be positive")
+        self.adam_config()  # lr, betas, epsilon and weight_decay
+        if not 1 <= self.batch_size <= self.num_functions:
+            raise ValueError(
+                f"batch_size must lie in [1, {self.num_functions}], got {self.batch_size}"
+            )
+        bpe = batches_per_epoch(self.num_functions, self.batch_size)
+        if self.probe and not 0 <= self.tracked_batch < bpe:
+            raise ValueError(
+                f"tracked_batch must lie in [0, {bpe}), got {self.tracked_batch}"
+            )
+
+    def adam_config(self) -> AdamConfig:
+        """Stepper hyperparameters; RMSProp ignores beta1, so it gets 0."""
+        return AdamConfig(
+            lr=self.lr,
+            beta1=self.beta1 if self.optimizer != "rmsprop" else 0.0,
+            beta2=self.beta2,
+            epsilon=self.epsilon,
+            weight_decay=self.weight_decay,
+            bias_correction=self.bias_correction,
+        )
 
 
 @dataclass
@@ -200,14 +221,7 @@ def run(config: RunConfig) -> RunResult:
     )
     theta = _initial_theta(config, problem.dim)
     state = OptimizerState.fresh(problem.dim)
-    opt_config = AdamConfig(
-        lr=config.lr,
-        beta1=config.beta1 if config.optimizer != "rmsprop" else 0.0,
-        beta2=config.beta2,
-        epsilon=config.epsilon,
-        weight_decay=config.weight_decay,
-        bias_correction=config.bias_correction,
-    )
+    opt_config = config.adam_config()
     if config.optimizer == "adam":
         def step_fn(g):
             return adam_step(state, opt_config, g, theta)
@@ -226,10 +240,6 @@ def run(config: RunConfig) -> RunResult:
         config.initial_shuffle,
     )
     bpe = batches_per_epoch(config.num_functions, config.batch_size)
-    if config.probe and not 0 <= config.tracked_batch < bpe:
-        raise ValueError(
-            f"tracked_batch must lie in [0, {bpe}), got {config.tracked_batch}"
-        )
 
     total = bpe * config.num_epochs
     cols = {

@@ -5,6 +5,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
+import reference_impl
 from sawtoothlab.analysis import (
     DEMO_GRAD_SQUARED,
     DEMO_MOMENTUM,
@@ -24,6 +25,7 @@ from sawtoothlab.analysis import (
     predict_loss_curve,
     window_average,
 )
+from sawtoothlab.trainer import RunConfig, run
 
 
 def _trace(epochs, losses):
@@ -161,6 +163,35 @@ def test_fit_dot_dtheta_tie_prefers_smallest_shift():
     fit = fit_dot_dtheta(t, y, 0.9, 0.999)
     assert fit.coeffs["hyperbolic_shift"] == 0.0
     assert fit.coeffs["hyperbolic_amp"] == pytest.approx(0.0, abs=1e-8)
+
+
+def _alignment_series():
+    """Probed-run epochs plus planted series that bind different active sets."""
+    res = run(RunConfig(num_functions=300, dim=60, problem_seed=3, seed=4,
+                        num_epochs=3, tracked_batch=7))
+    trace = res.trace
+    for epoch in np.unique(trace.epoch):
+        rows = trace.epoch_rows(epoch)
+        keep = trace.step[rows] >= 1
+        yield trace.step[rows][keep].astype(float), trace.dot_dtheta[rows][keep]
+    t = np.arange(1, 401, dtype=float)
+    noise = 0.01 * np.random.default_rng(3).standard_normal(len(t))
+    yield t, -2.0 * 0.9 ** t / t + 0.3 + 1.5 / (t + 3.0)
+    yield t, -1.0 * 0.9 ** t / t + 0.5
+    yield t, 1.5 / (t + 3.0)
+    yield t, 0.2 - 0.001 * t + noise
+
+
+@pytest.mark.parametrize("window", [None, 25])
+def test_fit_dot_dtheta_matches_unhoisted_reference(window):
+    # the shift-free active sets are solved once; results must not move a bit
+    for t, y in _alignment_series():
+        fit = fit_dot_dtheta(t, y, 0.9, 0.999, window=window)
+        ref = reference_impl.fit_dot_dtheta(t, y, 0.9, 0.999, window=window)
+        assert fit.coeffs == ref.coeffs
+        assert fit.r_squared == ref.r_squared
+        assert fit.residual_norm == ref.residual_norm
+        assert fit.notes == ref.notes
 
 
 def test_fit_dot_dtheta_rejects_small_t():

@@ -65,10 +65,22 @@ def test_run_exit_codes(tmp_path):
     bad = tmp_path / "bad.spec"
     bad.write_text("bogus = 1\n")
     assert main(["run", str(bad)]) == 2
-    # config errors that only surface at run time also land on exit 2
+    # config errors land on exit 2 before any output is written
     invalid = tmp_path / "invalid.spec"
     invalid.write_text(TINY_SPEC.replace("tracked_batch = 3", "tracked_batch = 60"))
     assert main(["run", str(invalid), "--out", str(tmp_path / "o")]) == 2
+    assert not (tmp_path / "o").exists()
+
+
+def test_run_rejects_bad_sweep_point_before_any_point_runs(tmp_path, capsys):
+    # point 0 (B = 1) is valid; point 1 (B = 8) has only 100 batches per
+    # epoch, so the default tracked_batch of 100 is out of range
+    spec = tmp_path / "sweep.spec"
+    spec.write_text("num_functions = 800\ndim = 20\nepochs = 1\nbatch_size = 1, 8\n")
+    out = tmp_path / "out"
+    assert main(["run", str(spec), "--out", str(out)]) == 2
+    assert "tracked_batch" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_bundled_specs_resolve_and_parse():
@@ -128,6 +140,14 @@ def test_fit_error_paths(tiny_run, tmp_path, capsys):
         "fit", str(bare / "trace.csv"), "--model", "g_norm", "--epoch", "2",
         "--beta2", "0.999",
     ]) == 0
+
+
+def test_fit_rejects_malformed_trace(tiny_run, capsys):
+    trace = tiny_run / "trace.csv"
+    lines = trace.read_text().splitlines(keepends=True)
+    trace.write_text("".join(lines[:5]) + "1,2\r\n" + "".join(lines[5:]))
+    assert main(["fit", str(trace), "--model", "g_norm", "--epoch", "1"]) == 2
+    assert "error:" in capsys.readouterr().err
 
 
 def test_toy_command(tmp_path, capsys):

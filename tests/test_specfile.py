@@ -103,6 +103,15 @@ def test_invalid_config_surfaces_as_spec_error():
     # the expansion dry-runs the config, so field-level validation fires here
     with pytest.raises(SpecError, match="num_epochs"):
         parse_spec("epochs = 0\n")
+    # every sweep point is validated, so a bad one fails before any runs
+    with pytest.raises(SpecError, match="lr must be positive"):
+        parse_spec(BASE + "lr = 0\n")
+    with pytest.raises(SpecError, match="beta1"):
+        parse_spec(BASE + "beta1 = 0.9, 1.0\n")
+    with pytest.raises(SpecError, match="batch_size"):
+        parse_spec(BASE + "batch_size = 10, 101\n")
+    with pytest.raises(SpecError, match="tracked_batch"):
+        parse_spec("num_functions = 800\nbatch_size = 1, 8\n")
 
 
 def test_runner_settings():

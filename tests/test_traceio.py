@@ -2,12 +2,17 @@
 
 import json
 import math
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import reference_impl
 from sawtoothlab.analysis import esp_metrics
-from sawtoothlab.trainer import TRACE_COLUMNS, RunConfig, run, run_toy
+from sawtoothlab.trainer import PROBE_COLUMNS, TRACE_COLUMNS, RunConfig, Trace, run, run_toy
 from sawtoothlab.traceio import (
     read_trace_csv,
     render_line_chart_svg,
@@ -25,6 +30,90 @@ def small_result():
             tracked_batch=3, probe_stride=4,
         )
     )
+
+
+# -0.0, infinities, the subnormal range, the largest double and values whose
+# shortest repr needs all 17 significant digits
+SPECIAL_FLOATS = (
+    -0.0, 0.0, math.inf, -math.inf, math.nan, 5e-324, -5e-324,
+    2.225073858507201e-308, 2.2250738585072014e-308, 1.7976931348623157e308,
+    -1.7976931348623157e308, 0.30000000000000004, 1.0000000000000002,
+    123456789.01234567, 9.8765432109876543e-120,
+)
+_FLOATS = st.one_of(st.sampled_from(SPECIAL_FLOATS), st.floats(allow_subnormal=True))
+_INTS = st.integers(-(2 ** 63), 2 ** 63 - 1)
+
+
+def _assert_matches_reference(trace: Trace, tmpdir: Path) -> None:
+    """The columnar writer and reader against the row-loop reference."""
+    written, expected = tmpdir / "new.csv", tmpdir / "reference.csv"
+    write_trace_csv(trace, written)
+    reference_impl.write_trace_csv(trace, expected)
+    assert written.read_bytes() == expected.read_bytes()
+    lf, unterminated = tmpdir / "lf.csv", tmpdir / "unterminated.csv"
+    lf.write_bytes(written.read_bytes().replace(b"\r\n", b"\n"))
+    unterminated.write_bytes(written.read_bytes()[:-2])
+    for path in (written, lf, unterminated):
+        back = read_trace_csv(path)
+        ref = reference_impl.read_trace_csv(path)
+        assert back.probes_enabled == ref.probes_enabled
+        for name in TRACE_COLUMNS:
+            got, want = getattr(back, name), getattr(ref, name)
+            assert got.dtype == want.dtype, name
+            assert got.tobytes() == want.tobytes(), name
+            # every non-NaN value comes back bit for bit, NaN as NaN
+            orig = getattr(trace, name)
+            if orig.dtype.kind == "f":
+                nan = np.isnan(orig)
+                assert np.array_equal(np.isnan(got), nan), name
+                got, orig = got[~nan], orig[~nan]
+            assert got.tobytes() == orig.tobytes(), name
+
+
+@st.composite
+def _traces(draw):
+    n = draw(st.integers(1, 12))
+    probeless = draw(st.booleans())
+    columns = {}
+    for name in TRACE_COLUMNS:
+        if name in ("epoch", "step", "global_step"):
+            values = draw(st.lists(_INTS, min_size=n, max_size=n))
+            columns[name] = np.array(values, dtype=np.int64)
+        elif name in PROBE_COLUMNS and probeless:
+            columns[name] = np.full(n, np.nan)
+        else:
+            values = draw(st.lists(_FLOATS, min_size=n, max_size=n))
+            columns[name] = np.array(values, dtype=np.float64)
+    return Trace(columns, probes_enabled=not probeless)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_traces())
+def test_columnar_io_matches_reference_on_arbitrary_traces(trace):
+    with tempfile.TemporaryDirectory() as tmp:
+        _assert_matches_reference(trace, Path(tmp))
+
+
+def test_columnar_io_matches_reference_across_write_chunks(tmp_path):
+    # long enough to span several write chunks, with strided probe gaps
+    rng = np.random.default_rng(7)
+    n = 9000
+    columns = {
+        "epoch": np.repeat(np.arange(3), 3000),
+        "step": np.tile(np.arange(3000), 3),
+        "global_step": np.arange(n),
+    }
+    for name in TRACE_COLUMNS[3:]:
+        columns[name] = rng.standard_normal(n) * 10.0 ** rng.integers(-300, 300, n)
+        if name in PROBE_COLUMNS:
+            columns[name][np.arange(n) % 3 != 0] = np.nan
+    columns["batch_loss"][[5, 4100, 8191, 8192]] = [np.nan, np.inf, -0.0, 5e-324]
+    _assert_matches_reference(Trace(columns, probes_enabled=True), tmp_path)
+
+
+def test_run_traces_match_reference(small_result, tmp_path):
+    _assert_matches_reference(small_result.trace, tmp_path)
+    _assert_matches_reference(run_toy("fixed", 0.0, epochs=3).trace, tmp_path)
 
 
 def test_trace_round_trip_is_exact(small_result, tmp_path):
@@ -68,15 +157,38 @@ def test_probeless_trace_reads_back_probeless(tmp_path):
     assert np.isnan(back.tracked_loss).all()
 
 
+HEADER = ",".join(TRACE_COLUMNS) + "\r\n"
+GOOD_ROW = "0,1,1,1.5,0.25,0.5,0.125,,,,,\r\n"
+MALFORMED_TRACES = {
+    "wrong header": "nope,nope\r\n" + GOOD_ROW,
+    "reordered header": ",".join(reversed(TRACE_COLUMNS)) + "\r\n" + GOOD_ROW,
+    "empty file": "",
+    "short row": HEADER + GOOD_ROW + "1,2\r\n",
+    "long row": HEADER + GOOD_ROW.replace("\r\n", ",7\r\n"),
+    "float in integer column": HEADER + GOOD_ROW.replace("0,1,1,", "0,3.0,1,"),
+    "letter in integer column": HEADER + GOOD_ROW.replace("0,1,1,", "x,1,1,"),
+    "empty integer cell": HEADER + GOOD_ROW.replace("0,1,1,", "0,,1,"),
+    "unparsable float": HEADER + GOOD_ROW.replace("0.25", "0.2.5"),
+    "blank line": HEADER + GOOD_ROW + "\r\n" + GOOD_ROW,
+    "quoted cell": HEADER + GOOD_ROW.replace("1.5", '"1.5"'),
+}
+
+
 def test_read_rejects_malformed(tmp_path):
     bad = tmp_path / "bad.csv"
-    bad.write_text("nope,nope\n")
-    with pytest.raises(ValueError):
-        read_trace_csv(bad)
-    short_row = tmp_path / "short.csv"
-    short_row.write_text(",".join(TRACE_COLUMNS) + "\n1,2\n")
-    with pytest.raises(ValueError):
-        read_trace_csv(short_row)
+    for case, text in MALFORMED_TRACES.items():
+        bad.write_bytes(text.encode())
+        with pytest.raises(ValueError):
+            read_trace_csv(bad)
+            pytest.fail(f"accepted a trace with a {case}")
+
+
+def test_read_accepts_good_row(tmp_path):
+    good = tmp_path / "good.csv"
+    good.write_bytes((HEADER + GOOD_ROW).encode())
+    trace = read_trace_csv(good)
+    assert len(trace) == 1 and trace.g_norm[0] == 0.25
+    assert not trace.probes_enabled
 
 
 def test_non_finite_values_survive_round_trip(tmp_path):

@@ -227,8 +227,23 @@ def test_config_validation():
         RunConfig(probe_stride=0)
     with pytest.raises(ValueError):
         RunConfig(divergence_ceiling=0.0)
-    with pytest.raises(ValueError):
-        run(RunConfig(**{**SMALL, "tracked_batch": 60}))
+    # everything run() depends on is checked when the config is built
+    for bad in (
+        {"tracked_batch": 60},
+        {"batch_size": 4, "tracked_batch": 15},
+        {"batch_size": 0},
+        {"batch_size": 61},
+        {"lr": 0.0},
+        {"beta1": 1.0},
+        {"beta2": 1.5},
+        {"optimizer": "sgd", "beta1": -0.1},
+        {"epsilon": -1e-8},
+        {"weight_decay": -0.1},
+    ):
+        with pytest.raises(ValueError):
+            RunConfig(**{**SMALL, **bad})
+    # RMSProp has no first moment, so its beta1 goes unchecked
+    RunConfig(optimizer="rmsprop", **{**SMALL, "beta1": 1.0})
 
 
 def test_vector_x_init():
