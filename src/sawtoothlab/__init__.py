@@ -27,6 +27,7 @@ from .optim import (
     AdamConfig,
     NonFiniteGradientError,
     OptimizerState,
+    StepWorkspace,
     UpdateResult,
     adam_step,
     rmsprop_step,
@@ -35,9 +36,9 @@ from .optim import (
 from .problem import (
     Batch,
     QuadraticProblem,
-    ToyProblem,
     batch_grad,
     batch_loss,
+    batch_loss_grad,
     full_loss,
     full_loss_minimum,
     generate_quadratic,
@@ -52,7 +53,6 @@ from .schedule import (
 from .trainer import (
     RunConfig,
     RunResult,
-    StepTrace,
     Trace,
     oscillation_amplitude,
     probe_epoch_start_losses,
@@ -64,6 +64,7 @@ __all__ = [
     "__version__",
     "AdamConfig",
     "OptimizerState",
+    "StepWorkspace",
     "UpdateResult",
     "NonFiniteGradientError",
     "adam_step",
@@ -71,10 +72,10 @@ __all__ = [
     "sgd_momentum_step",
     "QuadraticProblem",
     "Batch",
-    "ToyProblem",
     "generate_quadratic",
     "batch_loss",
     "batch_grad",
+    "batch_loss_grad",
     "full_loss",
     "full_loss_minimum",
     "toy_losses",
@@ -84,7 +85,6 @@ __all__ = [
     "boundary_overlap_mc",
     "RunConfig",
     "RunResult",
-    "StepTrace",
     "Trace",
     "run",
     "run_toy",

@@ -37,7 +37,6 @@ __all__ = [
     "fit_dot_dtheta",
     "evaluate_fit",
     "predict_loss_curve",
-    "crossover_step",
     "esp_metrics",
     "window_average",
     "nshape_delta",
@@ -410,24 +409,6 @@ def predict_loss_curve(fit: FitResult, l0: float, T: int) -> np.ndarray:
         increments = _eval_dot_dtheta(fit.coeffs, fit.beta1, steps)
         pred[1:] += np.concatenate([[0.0], np.cumsum(increments)[:-1]])
     return pred
-
-
-def crossover_step(fit: FitResult, t_max: int) -> int | None:
-    """First step where the constant level matches the decaying component.
-
-    The early sharp phase of the predicted curve is carried by the decaying
-    term, the late drift by the constant level; returns the first t in
-    [1, t_max] where the level magnitude reaches the decay magnitude, or
-    None if that never happens.
-    """
-    if fit.model != "dot_dtheta":
-        raise ValueError("crossover is defined for update-alignment fits")
-    level = abs(fit.coeffs["level"])
-    for t in range(1, t_max + 1):
-        decay = abs(fit.coeffs["decay_amp"]) * fit.beta1 ** t / t
-        if level >= decay:
-            return t
-    return None
 
 
 @dataclass

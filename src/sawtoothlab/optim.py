@@ -18,17 +18,27 @@ Update rules, with gradient g and learning rate lr:
 
     SGD+momentum  m <- beta1*m + (1-beta1)*g
                   delta = -lr * m
+
+Every stepper takes the gradient in one of two forms. Dense: ``grad`` is
+the whole vector, checked for shape and finiteness. Sparse: ``coords`` holds
+the coordinates the gradient can be nonzero on (one int, or an array of
+unique ints) and ``grad`` its values there; the moment updates then touch
+only those coordinates, the values are not checked (a caller in a hot loop
+checks them once, at its own cost), and the result matches the dense form
+on the scattered gradient value for value. A ``StepWorkspace`` makes a step
+write into caller-owned buffers instead of allocating its delta.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 __all__ = [
     "AdamConfig",
     "OptimizerState",
+    "StepWorkspace",
     "UpdateResult",
     "NonFiniteGradientError",
     "adam_step",
@@ -85,15 +95,32 @@ class OptimizerState:
 
 
 @dataclass
+class StepWorkspace:
+    """Caller-owned dense buffers for allocation-free steps.
+
+    A step given a workspace returns its delta in ``delta``, valid until the
+    next step that uses the workspace; ``temp`` holds intermediates.
+    """
+
+    delta: np.ndarray
+    temp: np.ndarray
+
+    @classmethod
+    def fresh(cls, dim: int) -> "StepWorkspace":
+        return cls(delta=np.empty(dim), temp=np.empty(dim))
+
+
+@dataclass
 class UpdateResult:
-    """One step's parameter delta plus the (possibly corrected) moments used."""
+    """One step's parameter delta."""
 
     delta_theta: np.ndarray
-    m_hat: np.ndarray
-    v_hat: np.ndarray
 
 
-def _check_grad(state: OptimizerState, grad: np.ndarray) -> np.ndarray:
+def _check_grad(state: OptimizerState, grad, coords):
+    """The gradient values and the index the moment updates write through."""
+    if coords is not None:
+        return grad, coords
     grad = np.asarray(grad, dtype=float)
     if grad.shape != state.m.shape:
         raise ValueError(
@@ -101,7 +128,11 @@ def _check_grad(state: OptimizerState, grad: np.ndarray) -> np.ndarray:
         )
     if not np.all(np.isfinite(grad)):
         raise NonFiniteGradientError("gradient contains non-finite entries")
-    return grad
+    return grad, ...
+
+
+def _buffers(work: StepWorkspace | None):
+    return (None, None) if work is None else (work.delta, work.temp)
 
 
 MOMENT_FLOOR = 1e-290
@@ -131,85 +162,107 @@ def _flush_tiny(arr: np.ndarray) -> None:
         arr[mask] = 0.0
 
 
+def _ema(arr: np.ndarray, beta: float, idx, x) -> None:
+    """arr <- beta*arr + (1-beta)*x, where x lives on arr[idx]."""
+    arr *= beta
+    arr[idx] += (1.0 - beta) * x
+
+
 def adam_step(
     state: OptimizerState,
     config: AdamConfig,
-    grad: np.ndarray,
+    grad,
     theta: np.ndarray | None = None,
+    coords=None,
+    work: StepWorkspace | None = None,
 ) -> UpdateResult:
     """Advance Adam by one step, mutating ``state`` and returning the update.
 
     ``theta`` is only consulted when ``config.weight_decay > 0``, in which
     case the raw gradient is augmented with ``weight_decay * theta`` before
-    the moment updates (coupled L2).
+    the moment updates (coupled L2); that gradient is dense whatever form
+    ``grad`` came in.
     """
-    grad = _check_grad(state, grad)
+    grad, idx = _check_grad(state, grad, coords)
+    out, temp = _buffers(work)
     if config.weight_decay > 0.0:
         if theta is None:
             raise ValueError("weight_decay > 0 requires the current parameters")
-        grad = grad + config.weight_decay * np.asarray(theta, dtype=float)
+        full = np.multiply(np.asarray(theta, dtype=float), config.weight_decay, out=temp)
+        full[idx] += grad
+        grad, idx = full, ...
 
     b1, b2 = config.beta1, config.beta2
     state.t += 1
-    state.m *= b1
-    state.m += (1.0 - b1) * grad
-    state.v *= b2
-    state.v += (1.0 - b2) * np.square(grad)
+    _ema(state.m, b1, idx, grad)
+    _ema(state.v, b2, idx, grad * grad)
     if state.t % FLUSH_EVERY == 0:
         _flush_tiny(state.m)
         _flush_tiny(state.v)
 
+    c1 = c2 = 1.0  # raw moments: dividing by one is exact
     if config.bias_correction:
-        m_hat = state.m / (1.0 - b1 ** state.t)
-        v_hat = state.v / (1.0 - b2 ** state.t) if b2 < 1.0 else state.v.copy()
-    else:
-        m_hat = state.m.copy()
-        v_hat = state.v.copy()
-
-    denom = np.sqrt(v_hat)
+        c1 = 1.0 - b1 ** state.t
+        if b2 < 1.0:
+            c2 = 1.0 - b2 ** state.t
+    m_hat = np.divide(state.m, c1, out=temp)
+    denom = np.divide(state.v, c2, out=out)
+    np.sqrt(denom, out=denom)
     denom += config.epsilon
-    delta = m_hat / denom
+    delta = np.divide(m_hat, denom, out=denom)
     delta *= -config.lr
-    return UpdateResult(delta_theta=delta, m_hat=m_hat, v_hat=v_hat)
+    return UpdateResult(delta_theta=delta)
 
 
 def rmsprop_step(
-    state: OptimizerState, config: AdamConfig, grad: np.ndarray
+    state: OptimizerState,
+    config: AdamConfig,
+    grad,
+    coords=None,
+    work: StepWorkspace | None = None,
 ) -> UpdateResult:
     """Advance RMSProp by one step.
 
     Identical to Adam with beta1 = 0 and bias correction disabled: the first
     moment is left untouched and the raw gradient steers the update.
     """
-    grad = _check_grad(state, grad)
-    b2 = config.beta2
+    grad, idx = _check_grad(state, grad, coords)
+    out, _ = _buffers(work)
     state.t += 1
-    state.v *= b2
-    state.v += (1.0 - b2) * np.square(grad)
+    _ema(state.v, config.beta2, idx, grad * grad)
     if state.t % FLUSH_EVERY == 0:
         _flush_tiny(state.v)
 
-    v_hat = state.v.copy()
-    denom = np.sqrt(v_hat)
+    denom = np.sqrt(state.v, out=out)
     denom += config.epsilon
-    delta = grad / denom
+    if coords is None:
+        delta = np.divide(grad, denom, out=denom)
+    else:
+        # the dense form divides a zero by every other coordinate's denominator
+        touched = grad / denom[coords]
+        delta = np.divide(0.0, denom, out=denom)
+        delta[coords] = touched
     delta *= -config.lr
-    return UpdateResult(delta_theta=delta, m_hat=np.zeros_like(state.m), v_hat=v_hat)
+    return UpdateResult(delta_theta=delta)
 
 
 def sgd_momentum_step(
-    state: OptimizerState, lr: float, beta1: float, grad: np.ndarray
+    state: OptimizerState,
+    lr: float,
+    beta1: float,
+    grad,
+    coords=None,
+    work: StepWorkspace | None = None,
 ) -> UpdateResult:
     """Advance damped-momentum SGD by one step; beta1 = 0 is plain descent."""
     if not lr > 0:
         raise ValueError(f"lr must be positive, got {lr}")
     if not 0.0 <= beta1 < 1.0:
         raise ValueError(f"beta1 must lie in [0, 1), got {beta1}")
-    grad = _check_grad(state, grad)
+    grad, idx = _check_grad(state, grad, coords)
+    out, _ = _buffers(work)
     state.t += 1
-    state.m *= beta1
-    state.m += (1.0 - beta1) * grad
+    _ema(state.m, beta1, idx, grad)
     if state.t % FLUSH_EVERY == 0:
         _flush_tiny(state.m)
-    delta = -lr * state.m.copy()
-    return UpdateResult(delta_theta=delta, m_hat=state.m.copy(), v_hat=state.v.copy())
+    return UpdateResult(delta_theta=np.multiply(state.m, -lr, out=out))

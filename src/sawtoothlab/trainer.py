@@ -15,15 +15,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterator, NamedTuple
 
 import numpy as np
 
 from .optim import (
-    FLUSH_EVERY,
-    MOMENT_FLOOR,
     AdamConfig,
     OptimizerState,
+    StepWorkspace,
     adam_step,
     rmsprop_step,
     sgd_momentum_step,
@@ -31,17 +29,14 @@ from .optim import (
 from .problem import (
     Batch,
     QuadraticProblem,
-    batch_grad,
-    batch_loss,
+    batch_loss_grad,
     generate_quadratic,
-    sparse_batch_grad,
     toy_losses,
 )
 from .schedule import EpochSchedule, batches_per_epoch
 
 __all__ = [
     "TRACE_COLUMNS",
-    "StepTrace",
     "Trace",
     "RunConfig",
     "ToyConfig",
@@ -74,23 +69,8 @@ TRACE_COLUMNS = (
 PROBE_COLUMNS = ("tracked_loss", "dot_g", "dot_m", "dot_dtheta", "cum_dot")
 
 
-class StepTrace(NamedTuple):
-    epoch: int
-    step: int
-    global_step: int
-    batch_loss: float
-    g_norm: float
-    m_norm: float
-    v_norm: float
-    tracked_loss: float
-    dot_g: float
-    dot_m: float
-    dot_dtheta: float
-    cum_dot: float
-
-
 class Trace:
-    """Columnar store of StepTrace rows (one numpy array per column)."""
+    """Columnar store of the per-step trace (one numpy array per column)."""
 
     def __init__(self, columns: dict[str, np.ndarray], probes_enabled: bool) -> None:
         n = None
@@ -105,15 +85,6 @@ class Trace:
 
     def __len__(self) -> int:
         return len(self.epoch)
-
-    def __getitem__(self, i: int) -> StepTrace:
-        return StepTrace(
-            *(getattr(self, name)[i] for name in TRACE_COLUMNS)
-        )
-
-    def __iter__(self) -> Iterator[StepTrace]:
-        for i in range(len(self)):
-            yield self[i]
 
     def epoch_rows(self, epoch: int) -> np.ndarray:
         return np.flatnonzero(self.epoch == epoch)
@@ -157,6 +128,11 @@ class RunConfig:
         if self.divergence_ceiling <= 0:
             raise ValueError("divergence_ceiling must be positive")
         self.adam_config()  # lr, betas, epsilon and weight_decay
+        if self.optimizer != "sgd" and not self.epsilon > 0:
+            # every coordinate a batch misses would divide 0 by sqrt(0)
+            raise ValueError(
+                f"epsilon must be positive for {self.optimizer}, got {self.epsilon}"
+            )
         if not 1 <= self.batch_size <= self.num_functions:
             raise ValueError(
                 f"batch_size must lie in [1, {self.num_functions}], got {self.batch_size}"
@@ -214,6 +190,27 @@ def _initial_theta(config: RunConfig, dim: int) -> np.ndarray:
     return theta
 
 
+def _dot(arr: np.ndarray, coords, vals) -> float:
+    """arr . g for a gradient in batch_loss_grad's (coords, vals) form.
+
+    A single member's scalar pair multiplies; arrays reduce through matmul.
+    """
+    if isinstance(coords, np.ndarray):
+        return float(arr[coords] @ vals)
+    return arr.item(coords) * vals
+
+
+def _norm(dense: np.ndarray, coords, vals) -> float:
+    """|g| from g's dense form, whose dot keeps the bits a sparse one would not.
+
+    A single member's |value| is that dot's square root, bit for bit, as long
+    as its square neither underflows nor overflows.
+    """
+    if isinstance(coords, np.ndarray):
+        return math.sqrt(dense @ dense)
+    return abs(vals)
+
+
 def run(config: RunConfig) -> RunResult:
     """Execute one configured run and return its trace and summaries."""
     problem = generate_quadratic(
@@ -221,16 +218,17 @@ def run(config: RunConfig) -> RunResult:
     )
     theta = _initial_theta(config, problem.dim)
     state = OptimizerState.fresh(problem.dim)
+    work = StepWorkspace.fresh(problem.dim)
     opt_config = config.adam_config()
     if config.optimizer == "adam":
-        def step_fn(g):
-            return adam_step(state, opt_config, g, theta)
+        def step_fn(coords, vals):
+            return adam_step(state, opt_config, vals, theta, coords, work)
     elif config.optimizer == "rmsprop":
-        def step_fn(g):
-            return rmsprop_step(state, opt_config, g)
+        def step_fn(coords, vals):
+            return rmsprop_step(state, opt_config, vals, coords, work)
     else:
-        def step_fn(g):
-            return sgd_momentum_step(state, config.lr, config.beta1, g)
+        def step_fn(coords, vals):
+            return sgd_momentum_step(state, config.lr, config.beta1, vals, coords, work)
 
     schedule = EpochSchedule(
         config.policy,
@@ -272,46 +270,15 @@ def run(config: RunConfig) -> RunResult:
     col_dd = cols["dot_dtheta"]
     col_cd = cols["cum_dot"]
     m_arr, v_arr = state.m, state.v
-
-    # batch_size 1 touches a single coordinate per step; scalar arithmetic,
-    # a reused dense gradient buffer, and an inlined moment update (same
-    # expression forms as the optim module, so results stay bit-identical)
-    # avoid per-step allocations.  Coupled L2 makes the effective gradient
-    # dense, so weight decay falls back to the generic path.
-    scalar_path = config.batch_size == 1 and config.weight_decay == 0.0
-    if scalar_path:
-        a_arr = np.ascontiguousarray(problem.coeffs[:, 0])
-        b_arr = np.ascontiguousarray(problem.coeffs[:, 1])
-        c_arr = np.ascontiguousarray(problem.coeffs[:, 2])
-        j_arr = problem.dim_index
-        gbuf = np.zeros(problem.dim)
-        prev_j = -1
-        mhat_buf = np.empty(problem.dim)
-        vhat_buf = np.empty(problem.dim)
-        delta_buf = np.empty(problem.dim)
-        abs_buf = np.empty(problem.dim)
-        mask_buf = np.empty(problem.dim, dtype=bool)
-        opt_b1 = opt_config.beta1
-        opt_b2 = opt_config.beta2
-        opt_kind = config.optimizer
-
-        def flush_tiny(arr):
-            # mirrors the optim module's moment flush, reusing buffers
-            np.absolute(arr, out=abs_buf)
-            np.less(abs_buf, MOMENT_FLOOR, out=mask_buf)
-            if mask_buf.any():
-                arr[mask_buf] = 0.0
+    # the step gradient in dense form, which g_norm and dot_g read: it is
+    # zero off the step's coords, so each step re-zeroes only the last ones
+    gbuf = np.zeros(problem.dim)
+    coords = 0
 
     for epoch in range(1, config.num_epochs + 1):
         batches = schedule.peek_epoch_batches()
         if config.probe:
             tracked = Batch(indices=batches[config.tracked_batch].indices.copy())
-            if scalar_path:
-                ti = int(tracked.indices[0])
-                t_j = int(j_arr[ti])
-                t_a = float(a_arr[ti])
-                t_b = float(b_arr[ti])
-                t_c = float(c_arr[ti])
         if epoch == config.epoch_start_probe_epoch:
             epoch_start_losses = probe_epoch_start_losses(problem, schedule, theta)
         cum_dot = 0.0
@@ -319,36 +286,20 @@ def run(config: RunConfig) -> RunResult:
         steps_done = 0
         for step in range(bpe):
             batch = schedule.next_batch()
-            if scalar_path:
-                i = int(batch.indices[0])
-                j = int(j_arr[i])
-                d = theta[j] - b_arr[i]
-                loss = float(a_arr[i] * (d * d) + c_arr[i])
-            else:
-                loss = batch_loss(problem, batch, theta)
-            bad_loss = not math.isfinite(loss) or abs(loss) > ceiling
-            g = None
+            gbuf[coords] = 0.0
+            loss, coords, vals = batch_loss_grad(problem, batch, theta)
             g_norm = math.nan
-            if not bad_loss:
-                if scalar_path:
-                    gval = 2.0 * a_arr[i] * d
-                    if prev_j >= 0:
-                        gbuf[prev_j] = 0.0
-                    gbuf[j] = gval
-                    prev_j = j
-                    g = gbuf
-                    g_norm = abs(float(gval))
-                else:
-                    g = batch_grad(problem, batch, theta)
-                    g_norm = float(np.sqrt(g @ g))
-            if bad_loss or not math.isfinite(g_norm):
+            if math.isfinite(loss) and abs(loss) <= ceiling:
+                gbuf[coords] = vals
+                g_norm = _norm(gbuf, coords, vals)
+            if not math.isfinite(g_norm):
                 col_epoch[row] = epoch
                 col_step[row] = step
                 col_global[row] = row
                 col_loss[row] = loss
                 col_gn[row] = g_norm
-                col_mn[row] = float(np.sqrt(m_arr @ m_arr))
-                col_vn[row] = float(np.sqrt(v_arr @ v_arr))
+                col_mn[row] = math.sqrt(m_arr @ m_arr)
+                col_vn[row] = math.sqrt(v_arr @ v_arr)
                 loss_sum += loss
                 steps_done += 1
                 row += 1
@@ -358,59 +309,10 @@ def run(config: RunConfig) -> RunResult:
 
             probed = config.probe and step % config.probe_stride == 0
             if probed:
-                if scalar_path:
-                    td = theta[t_j] - t_b
-                    tracked_loss = float(t_a * (td * td) + t_c)
-                    t_val = 2.0 * t_a * td
-                    dot_g = float(g[t_j] * t_val)
-                else:
-                    tracked_loss = batch_loss(problem, tracked, theta)
-                    t_coords, t_vals = sparse_batch_grad(problem, tracked, theta)
-                    dot_g = float(g[t_coords] @ t_vals)
-
-            if scalar_path:
-                state.t += 1
-                if opt_kind == "adam":
-                    m_arr *= opt_b1
-                    m_arr[j] += (1.0 - opt_b1) * gval
-                    v_arr *= opt_b2
-                    v_arr[j] += (1.0 - opt_b2) * (gval * gval)
-                    if state.t % FLUSH_EVERY == 0:
-                        flush_tiny(m_arr)
-                        flush_tiny(v_arr)
-                    if config.bias_correction:
-                        np.divide(m_arr, 1.0 - opt_b1 ** state.t, out=mhat_buf)
-                        if opt_b2 < 1.0:
-                            np.divide(v_arr, 1.0 - opt_b2 ** state.t, out=vhat_buf)
-                        else:
-                            np.copyto(vhat_buf, v_arr)
-                    else:
-                        np.copyto(mhat_buf, m_arr)
-                        np.copyto(vhat_buf, v_arr)
-                    np.sqrt(vhat_buf, out=vhat_buf)
-                    vhat_buf += opt_config.epsilon
-                    np.divide(mhat_buf, vhat_buf, out=delta_buf)
-                    delta_buf *= -opt_config.lr
-                elif opt_kind == "rmsprop":
-                    v_arr *= opt_b2
-                    v_arr[j] += (1.0 - opt_b2) * (gval * gval)
-                    if state.t % FLUSH_EVERY == 0:
-                        flush_tiny(v_arr)
-                    np.sqrt(v_arr, out=vhat_buf)
-                    vhat_buf += opt_config.epsilon
-                    np.divide(g, vhat_buf, out=delta_buf)
-                    delta_buf *= -opt_config.lr
-                else:
-                    m_arr *= opt_b1
-                    m_arr[j] += (1.0 - opt_b1) * gval
-                    if state.t % FLUSH_EVERY == 0:
-                        flush_tiny(m_arr)
-                    np.multiply(m_arr, -opt_config.lr, out=delta_buf)
-                delta_arr = delta_buf
-            else:
-                result = step_fn(g)
-                delta_arr = result.delta_theta
-            theta += delta_arr
+                tracked_loss, t_coords, t_vals = batch_loss_grad(problem, tracked, theta)
+                dot_g = _dot(gbuf, t_coords, t_vals)
+            delta = step_fn(coords, vals).delta_theta
+            theta += delta
 
             col_epoch[row] = epoch
             col_step[row] = step
@@ -420,16 +322,11 @@ def run(config: RunConfig) -> RunResult:
             col_mn[row] = math.sqrt(m_arr @ m_arr)
             col_vn[row] = math.sqrt(v_arr @ v_arr)
             if probed:
-                if scalar_path:
-                    dot_m = float(m_arr[t_j] * t_val)
-                    dot_dtheta = float(delta_arr[t_j] * t_val)
-                else:
-                    dot_m = float(m_arr[t_coords] @ t_vals)
-                    dot_dtheta = float(delta_arr[t_coords] @ t_vals)
+                dot_dtheta = _dot(delta, t_coords, t_vals)
                 cum_dot += dot_dtheta
                 col_tl[row] = tracked_loss
                 col_dg[row] = dot_g
-                col_dm[row] = dot_m
+                col_dm[row] = _dot(m_arr, t_coords, t_vals)
                 col_dd[row] = dot_dtheta
                 col_cd[row] = cum_dot
             loss_sum += loss
@@ -471,11 +368,8 @@ def probe_epoch_start_losses(
     """
     batches = schedule.peek_epoch_batches()
     idx = np.concatenate([b.indices for b in batches])
-    a = problem.coeffs[idx, 0]
-    b = problem.coeffs[idx, 1]
-    c = problem.coeffs[idx, 2]
     xj = theta[problem.dim_index[idx]]
-    vals = a * (xj - b) ** 2 + c
+    vals = problem.a[idx] * (xj - problem.b[idx]) ** 2 + problem.c[idx]
     sizes = np.array([len(b_) for b_ in batches])
     starts = np.concatenate([[0], np.cumsum(sizes)[:-1]])
     return np.add.reduceat(vals, starts) / sizes
@@ -503,25 +397,34 @@ def run_toy(
     sequencing "fixed" visits the batches as AB, AB, ...; "reversed" visits
     them as AB, BA, AB, ... so that each boundary repeats a batch immediately.
     With momentum_beta1 = 0 each step is the plain incremental gradient
-    method. A positive momentum_beta1 switches to the adaptive update (first
-    and second moment EMAs, no bias correction); the second moment starts
+    method (SGD without momentum). A positive momentum_beta1 switches to the
+    adaptive update (Adam without bias correction); the second moment starts
     empty, so early steps are strongly amplified, which is what makes the
     boundary re-exposure visibly larger than either plain-gradient run.
     """
     if sequencing not in ("fixed", "reversed"):
         raise ValueError(f"sequencing must be 'fixed' or 'reversed', got {sequencing!r}")
-    if not 0.0 <= momentum_beta1 < 1.0:
-        raise ValueError(f"momentum_beta1 must lie in [0, 1), got {momentum_beta1}")
-    if lr <= 0:
-        raise ValueError("lr must be positive")
     if epochs < 1:
         raise ValueError("epochs must be >= 1")
+    state = OptimizerState.fresh(1)
+    if momentum_beta1 == 0.0:
+        def step_fn(g):
+            return sgd_momentum_step(state, lr, 0.0, g)
+    else:
+        adaptive = AdamConfig(
+            lr=lr,
+            beta1=momentum_beta1,
+            beta2=TOY_BETA2,
+            epsilon=TOY_EPSILON,
+            bias_correction=False,
+        )
+
+        def step_fn(g):
+            return adam_step(state, adaptive, g)
     policy = "fixed" if sequencing == "fixed" else "reverse"
     schedule = EpochSchedule(policy, num_samples=2, batch_size=1, seed=0)
-    theta = float(theta0)
-    m = 0.0
-    v = 0.0
-    grads = (1.0, -1.0)
+    theta = np.array([float(theta0)])
+    grads = np.array([[1.0], [-1.0]])
     total = 2 * epochs
     cols = {
         "epoch": np.empty(total, dtype=np.int64),
@@ -537,21 +440,15 @@ def run_toy(
         for step in range(2):
             batch = schedule.next_batch()
             i = int(batch.indices[0])
-            loss = toy_losses(theta)[i]
-            g = grads[i]
-            if momentum_beta1 == 0.0:
-                theta -= lr * g
-            else:
-                m = momentum_beta1 * m + (1.0 - momentum_beta1) * g
-                v = TOY_BETA2 * v + (1.0 - TOY_BETA2) * (g * g)
-                theta -= lr * m / (math.sqrt(v) + TOY_EPSILON)
+            loss = toy_losses(float(theta[0]))[i]
+            theta += step_fn(grads[i]).delta_theta
             cols["epoch"][row] = epoch
             cols["step"][row] = step
             cols["global_step"][row] = row
             cols["batch_loss"][row] = loss
-            cols["g_norm"][row] = abs(g)
-            cols["m_norm"][row] = abs(m)
-            cols["v_norm"][row] = v
+            cols["g_norm"][row] = abs(grads[i, 0])
+            cols["m_norm"][row] = abs(state.m[0])
+            cols["v_norm"][row] = state.v[0]
             losses_this_epoch.append(loss)
             row += 1
         epoch_means.append(float(np.mean(losses_this_epoch)))

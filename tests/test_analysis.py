@@ -12,7 +12,6 @@ from sawtoothlab.analysis import (
     DEMO_SECOND_MOMENT_PREV,
     DEMO_TRACKED_GRAD,
     FitResult,
-    crossover_step,
     esp_metrics,
     evaluate_fit,
     fit_dot_dtheta,
@@ -350,16 +349,6 @@ def test_predict_loss_curve_validation():
     g_fit = fit_g_norm(t, np.ones_like(t), 0.999)
     with pytest.raises(ValueError):
         predict_loss_curve(g_fit, l0=0.0, T=5)
-
-
-def test_crossover_step():
-    fit = _alignment_fit(8.0, 0.5, 0.0, 0.0)
-    assert crossover_step(fit, t_max=100) == 8
-    never = _alignment_fit(8.0, 0.0, 0.0, 0.0)
-    assert crossover_step(never, t_max=100) is None
-    g_fit = fit_g_norm(np.arange(10.0), np.ones(10), 0.999)
-    with pytest.raises(ValueError):
-        crossover_step(g_fit, t_max=10)
 
 
 # ---------------------------------------------------------------- similarity

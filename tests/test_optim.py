@@ -9,6 +9,7 @@ from sawtoothlab.optim import (
     AdamConfig,
     NonFiniteGradientError,
     OptimizerState,
+    StepWorkspace,
     adam_step,
     rmsprop_step,
     sgd_momentum_step,
@@ -191,3 +192,43 @@ def test_flush_threshold_is_far_below_normal_scale():
     # anything at the floor decays through ~64 steps of beta1=0.9 without
     # entering the subnormal range (~2.2e-308)
     assert MOMENT_FLOOR * 0.9 ** (FLUSH_EVERY - 1) > 2.3e-308
+
+
+@pytest.mark.parametrize(
+    "optimizer, weight_decay",
+    [("adam", 0.0), ("adam", 0.1), ("rmsprop", 0.0), ("sgd", 0.0)],
+)
+def test_sparse_form_matches_dense_form(optimizer, weight_decay):
+    # (coords, values) with a reused workspace steps exactly like the dense
+    # scattered gradient, across two flushes and for scalar coordinates too
+    dim = 9
+    cfg = AdamConfig(lr=0.05, beta2=0.99, weight_decay=weight_decay)
+
+    def step(state, grad, theta, coords=None, work=None):
+        if optimizer == "adam":
+            return adam_step(state, cfg, grad, theta, coords, work)
+        if optimizer == "rmsprop":
+            return rmsprop_step(state, cfg, grad, coords, work)
+        return sgd_momentum_step(state, cfg.lr, cfg.beta1, grad, coords, work)
+
+    rng = np.random.default_rng(5)
+    dense, sparse = OptimizerState.fresh(dim), OptimizerState.fresh(dim)
+    work = StepWorkspace.fresh(dim)
+    theta = rng.normal(size=dim)
+    for k in range(150):
+        coords = np.sort(rng.choice(dim, size=1 + k % 4, replace=False))
+        vals = rng.normal(size=len(coords))
+        g = np.zeros(dim)
+        g[coords] = vals
+        if k % 3 == 0:
+            coords, vals = int(coords[0]), float(vals[0])
+            g[:] = 0.0
+            g[coords] = vals
+        want = step(dense, g, theta).delta_theta
+        got = step(sparse, vals, theta, coords, work).delta_theta
+        assert got is work.delta
+        np.testing.assert_array_equal(got, want)
+        theta += want
+    assert sparse.t == dense.t == 150
+    np.testing.assert_array_equal(sparse.m, dense.m)
+    np.testing.assert_array_equal(sparse.v, dense.v)

@@ -10,9 +10,8 @@ from sawtoothlab.problem import (
     batch_loss,
     full_loss,
     full_loss_minimum,
+    batch_loss_grad,
     generate_quadratic,
-    load_problem_csv,
-    save_problem_csv,
     sparse_batch_grad,
     toy_losses,
 )
@@ -128,13 +127,31 @@ def test_full_loss_golden_fixtures():
     assert full_loss(q, np.full(2000, 3.0)) == pytest.approx(GOLDEN_REDUCED, rel=1e-12)
 
 
-def test_problem_csv_round_trip(tmp_path):
-    p = generate_quadratic(21, 30, 10)
-    path = tmp_path / "problem.csv"
-    save_problem_csv(p, path)
-    q = load_problem_csv(path, dim=10, seed=21)
-    np.testing.assert_array_equal(p.coeffs, q.coeffs)
-    np.testing.assert_array_equal(p.dim_index, q.dim_index)
+def test_batch_loss_grad_matches_separate_calls():
+    # one gather gives the same bits as batch_loss plus sparse_batch_grad;
+    # a single member comes back as a scalar coordinate and value
+    p = generate_quadratic(9, 40, 8)
+    x = np.random.default_rng(2).normal(size=8)
+    for indices in ([7], [3, 11], [0, 5, 9, 13, 21, 22, 30, 39], [4, 4, 4]):
+        batch = Batch(np.array(indices))
+        loss, coords, vals = batch_loss_grad(p, batch, x)
+        tc, tv = sparse_batch_grad(p, batch, x)
+        assert loss == batch_loss(p, batch, x)
+        if len(indices) == 1:
+            assert np.ndim(coords) == 0 and np.ndim(vals) == 0
+            coords, vals = np.array([coords]), np.array([vals])
+        np.testing.assert_array_equal(coords, tc)
+        np.testing.assert_array_equal(vals, tv)
+    with pytest.raises(ValueError):
+        batch_loss_grad(p, Batch(np.array([], dtype=np.int64)), x)
+
+
+def test_coefficient_columns_are_contiguous_views():
+    p = generate_quadratic(4, 30, 10)
+    for k, col in enumerate((p.a, p.b, p.c)):
+        assert col.flags.c_contiguous
+        assert np.shares_memory(col, p.coeffs)
+        np.testing.assert_array_equal(col, p.coeffs[:, k])
 
 
 def test_toy_losses():

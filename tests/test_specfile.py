@@ -110,6 +110,8 @@ def test_invalid_config_surfaces_as_spec_error():
         parse_spec(BASE + "beta1 = 0.9, 1.0\n")
     with pytest.raises(SpecError, match="batch_size"):
         parse_spec(BASE + "batch_size = 10, 101\n")
+    with pytest.raises(SpecError, match="epsilon must be positive"):
+        parse_spec(BASE + "epsilon = 1e-8, 0\n")
     with pytest.raises(SpecError, match="tracked_batch"):
         parse_spec("num_functions = 800\nbatch_size = 1, 8\n")
 
