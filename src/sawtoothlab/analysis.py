@@ -1,17 +1,20 @@
 """Quantifying the sawtooth: per-epoch metrics and closed-form trace models.
 
 The fitters regress probe series from one epoch (step index t starting at 0
-at the epoch boundary) onto small documented bases:
+at the epoch boundary) onto small documented bases. TRACE_MODELS declares
+each basis once, under the name of the trace column it is fitted to:
 
-    gradient norm      offset + slope * sqrt(1-beta2) * t
-    momentum norm      decay_amp * beta1^t + slope * sqrt(1-beta2) * t + offset
-    second-moment norm offset + slope * t + quad * (1-beta2) * t^2
-    <m, tracked grad>  decay_amp * beta1^t + slope * sqrt(1-beta2) * t + offset
-                       with decay_amp >= 0 and slope >= 0
-    <delta, tracked grad>
-                       -decay_amp * beta1^t / t + level + hyperbolic_amp/(t+shift)
-                       with every coefficient >= 0; the shift is picked by a
-                       grid search and level absorbs slope * sqrt(1-beta2).
+    g_norm      gradient norm: offset + slope * sqrt(1-beta2) * t
+    m_norm      momentum norm:
+                decay_amp * beta1^t + slope * sqrt(1-beta2) * t + offset
+    v_norm      second-moment norm: offset + slope * t + quad * (1-beta2) * t^2
+    dot_m       <m, tracked grad>: the m_norm basis,
+                with decay_amp >= 0 and slope >= 0
+    dot_dtheta  <delta, tracked grad>, for t >= 1:
+                -decay_amp * beta1^t / t + level + hyperbolic_amp / (t + shift)
+                with every coefficient >= 0; the shift is picked by a grid
+                search (0 to 100 in steps of 0.5, ties take the smallest)
+                and level absorbs slope * sqrt(1-beta2).
 
 Nonnegativity is enforced by active-set enumeration: every subset of the
 constrained columns is clamped to zero in turn and the best feasible
@@ -21,6 +24,7 @@ ordinary-least-squares solution wins.
 from __future__ import annotations
 
 import logging
+from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
@@ -30,6 +34,9 @@ logger = logging.getLogger(__name__)
 __all__ = [
     "FitResult",
     "EspMetrics",
+    "TraceModel",
+    "TRACE_MODELS",
+    "fit_model",
     "fit_g_norm",
     "fit_m_norm",
     "fit_v_norm",
@@ -139,27 +146,97 @@ def _constrained_lstsq(
     return best
 
 
-def _fit_linear_model(
+def _momentum_basis(t, beta1, beta2):
+    return [beta1 ** t, np.sqrt(1.0 - beta2) * t, np.ones_like(t)]
+
+
+@dataclass(frozen=True)
+class TraceModel:
+    """One trace model of the module docstring, declared for fit_model.
+
+    `basis(t, beta1, beta2)` returns one column per coefficient, in the
+    order of `coeffs`. A model with a `shift` has one coefficient more: the
+    last one multiplies the column 1/(t + shift), and the shift runs over
+    HYPERBOLIC_SHIFT_GRID. An `unfold` coefficient stands for the product
+    slope * sqrt(1-beta2), and the fit reports that slope as well.
+    """
+
+    coeffs: tuple[str, ...]
+    basis: Callable[[np.ndarray, float | None, float], list[np.ndarray]]
+    nonneg: tuple[str, ...] = ()
+    needs_beta1: bool = False
+    min_t: float = 0.0
+    shift: str | None = None
+    unfold: str | None = None
+
+
+TRACE_MODELS = {
+    "g_norm": TraceModel(
+        coeffs=("offset", "slope"),
+        basis=lambda t, beta1, beta2: [np.ones_like(t), np.sqrt(1.0 - beta2) * t],
+    ),
+    "m_norm": TraceModel(
+        coeffs=("decay_amp", "slope", "offset"), basis=_momentum_basis, needs_beta1=True
+    ),
+    "v_norm": TraceModel(
+        coeffs=("offset", "slope", "quad"),
+        basis=lambda t, beta1, beta2: [np.ones_like(t), t, (1.0 - beta2) * t ** 2],
+    ),
+    "dot_m": TraceModel(
+        coeffs=("decay_amp", "slope", "offset"),
+        basis=_momentum_basis,
+        nonneg=("decay_amp", "slope"),
+        needs_beta1=True,
+    ),
+    "dot_dtheta": TraceModel(
+        coeffs=("decay_amp", "level", "hyperbolic_amp"),
+        basis=lambda t, beta1, beta2: [-(beta1 ** t) / t, np.ones_like(t)],
+        nonneg=("decay_amp", "level", "hyperbolic_amp"),
+        needs_beta1=True,
+        min_t=1.0,
+        shift="hyperbolic_shift",
+        unfold="level",
+    ),
+}
+
+
+def _trace_model(model: str) -> TraceModel:
+    try:
+        return TRACE_MODELS[model]
+    except KeyError:
+        raise ValueError(f"unknown model {model!r}") from None
+
+
+def fit_model(
     model: str,
-    t: np.ndarray,
-    y: np.ndarray,
-    columns: list[tuple[str, np.ndarray]],
-    nonneg_names: tuple[str, ...] = (),
+    t,
+    y,
     beta1: float | None = None,
     beta2: float | None = None,
     window: int | None = None,
 ) -> FitResult:
-    """Shared OLS driver: drops vanishing columns, then solves and scores.
+    """Fit one of TRACE_MODELS to a series by (constrained) least squares.
 
-    A window smooths the series before fitting. Because the model is linear
+    Columns that vanish are fixed at zero and flag the fit degenerate. A
+    window smooths the series before fitting. Because the model is linear
     in its coefficients, the same moving average is applied to every basis
     column, so the fitted coefficients still describe the raw-step model
-    while the residual is scored against the smoothed series.
+    while the residual is scored against the smoothed series. A shifted
+    column is fitted at every grid shift; ties prefer the smallest shift.
     """
+    spec = _trace_model(model)
+    t, y = _as_series(t, y)
+    if spec.needs_beta1:
+        _check_beta(beta1, "beta1")
+    else:
+        beta1 = None
+    _check_beta(beta2, "beta2", upper_inclusive=True)
+    if np.any(t < spec.min_t):
+        raise ValueError(f"the {model} model needs t >= {spec.min_t:g}")
     notes: list[str] = []
-    names = [name for name, _ in columns]
-    cols = [col for _, col in columns]
-    if window is not None and window > 1:
+    cols = spec.basis(t, beta1, beta2)
+    smooth = window is not None and window > 1
+    if smooth:
         if window > len(t):
             raise ValueError(f"window {window} exceeds series length {len(t)}")
         y = window_average(y, window)
@@ -167,23 +244,66 @@ def _fit_linear_model(
         notes.append(f"fit on window-{window} moving averages")
     scale = np.sqrt(len(y))
     live = [i for i, col in enumerate(cols) if np.linalg.norm(col) > 1e-12 * scale]
-    dropped = [names[i] for i in range(len(cols)) if i not in live]
+    dropped = [spec.coeffs[i] for i in range(len(cols)) if i not in live]
     if dropped:
         notes.append(f"degenerate columns fixed at zero: {', '.join(dropped)}")
-    X = np.column_stack([cols[i] for i in live])
-    nonneg = np.array([names[i] in nonneg_names for i in live])
-    if np.any(nonneg):
-        beta_live = _constrained_lstsq(X, y, nonneg)
+    # the shifted column, when there is one, is always live and comes last
+    slots = live + list(range(len(cols), len(spec.coeffs)))
+    live_cols = [cols[i] for i in live]
+    nonneg = np.array([spec.coeffs[i] in spec.nonneg for i in slots])
+
+    def shifted(shift: float) -> np.ndarray:
+        col = 1.0 / (t + shift)
+        return window_average(col, window) if smooth else col
+
+    def solve(X: np.ndarray, solved=None) -> np.ndarray:
+        if np.any(nonneg):
+            return _constrained_lstsq(X, y, nonneg, solved)
+        return np.linalg.lstsq(X, y, rcond=None)[0]
+
+    if spec.shift is None:
+        X = np.column_stack(live_cols)
+        beta_live = solve(X)
     else:
-        beta_live, *_ = np.linalg.lstsq(X, y, rcond=None)
+        # Active sets that clamp the shifted coefficient (the top mask bit)
+        # never see the shifted column: their solution, feasibility and
+        # residual are the same at every shift, so they are solved once, on
+        # the first shift's design.
+        solved = {}
+        if nonneg[-1]:
+            constrained = np.flatnonzero(nonneg)
+            X0 = np.column_stack(live_cols + [shifted(HYPERBOLIC_SHIFT_GRID[0])])
+            top = 1 << (len(constrained) - 1)
+            solved = {
+                mask: _solve_active_set(X0, y, constrained, _zeroed_columns(constrained, mask))
+                for mask in range(top, 2 * top)
+            }
+        best_res = np.inf
+        beta_live = None
+        for shift in HYPERBOLIC_SHIFT_GRID:
+            candidate = shifted(shift)
+            X_shift = np.column_stack(live_cols + [candidate])
+            beta = solve(X_shift, solved)
+            res = float(np.sum((y - X_shift @ beta) ** 2))
+            if beta_live is None or res < best_res - 1e-12 * max(1.0, best_res):
+                best_res, beta_live, X = res, beta, X_shift
+                best_shift, best_col = float(shift), candidate
+        cols = cols + [best_col]
     rank = np.linalg.matrix_rank(X)
     if rank < X.shape[1]:
         notes.append("design matrix is rank deficient; minimum-norm solution")
     beta = np.zeros(len(cols))
-    for slot, i in enumerate(live):
-        beta[i] = beta_live[slot]
+    beta[slots] = beta_live
     pred = np.column_stack(cols) @ beta
-    coeffs = {name: float(b) for name, b in zip(names, beta)}
+    coeffs = {name: float(b) for name, b in zip(spec.coeffs, beta)}
+    if spec.shift is not None:
+        coeffs[spec.shift] = best_shift
+    no_slope = spec.unfold is not None and beta2 == 1.0
+    if no_slope:
+        notes.append(f"beta2 = 1: {spec.unfold} cannot be unfolded into a slope coefficient")
+    elif spec.unfold is not None:
+        # the coefficient is the product slope * sqrt(1-beta2)
+        coeffs["slope"] = coeffs[spec.unfold] / float(np.sqrt(1.0 - beta2))
     return FitResult(
         model=model,
         coeffs=coeffs,
@@ -192,170 +312,34 @@ def _fit_linear_model(
         beta1=beta1,
         beta2=beta2,
         t_range=(float(t.min()), float(t.max())),
-        degenerate=bool(dropped) or rank < X.shape[1],
+        degenerate=bool(dropped or rank < X.shape[1] or no_slope),
         notes=tuple(notes),
     )
 
 
 def fit_g_norm(t, y, beta2: float, window: int | None = None) -> FitResult:
-    """Fit gradient-norm growth: offset + slope * sqrt(1-beta2) * t."""
-    t, y = _as_series(t, y)
-    _check_beta(beta2, "beta2", upper_inclusive=True)
-    return _fit_linear_model(
-        "g_norm",
-        t,
-        y,
-        [("offset", np.ones_like(t)), ("slope", np.sqrt(1.0 - beta2) * t)],
-        beta2=beta2,
-        window=window,
-    )
+    """Fit the gradient-norm model of TRACE_MODELS."""
+    return fit_model("g_norm", t, y, None, beta2, window)
 
 
 def fit_m_norm(t, y, beta1: float, beta2: float, window: int | None = None) -> FitResult:
-    """Fit momentum-norm shape: decay_amp * beta1^t + slope * sqrt(1-beta2) * t + offset."""
-    t, y = _as_series(t, y)
-    _check_beta(beta1, "beta1")
-    _check_beta(beta2, "beta2", upper_inclusive=True)
-    return _fit_linear_model(
-        "m_norm",
-        t,
-        y,
-        [
-            ("decay_amp", beta1 ** t),
-            ("slope", np.sqrt(1.0 - beta2) * t),
-            ("offset", np.ones_like(t)),
-        ],
-        beta1=beta1,
-        beta2=beta2,
-        window=window,
-    )
+    """Fit the momentum-norm model of TRACE_MODELS."""
+    return fit_model("m_norm", t, y, beta1, beta2, window)
 
 
 def fit_v_norm(t, y, beta2: float, window: int | None = None) -> FitResult:
-    """Fit second-moment-norm shape: offset + slope * t + quad * (1-beta2) * t^2."""
-    t, y = _as_series(t, y)
-    _check_beta(beta2, "beta2", upper_inclusive=True)
-    return _fit_linear_model(
-        "v_norm",
-        t,
-        y,
-        [
-            ("offset", np.ones_like(t)),
-            ("slope", t),
-            ("quad", (1.0 - beta2) * t ** 2),
-        ],
-        beta2=beta2,
-        window=window,
-    )
+    """Fit the second-moment-norm model of TRACE_MODELS."""
+    return fit_model("v_norm", t, y, None, beta2, window)
 
 
 def fit_dot_m(t, y, beta1: float, beta2: float, window: int | None = None) -> FitResult:
-    """Fit the momentum/tracked-gradient inner product.
-
-    Same basis as the momentum norm, but the decaying amplitude and the
-    slope are constrained nonnegative; the offset stays free.
-    """
-    t, y = _as_series(t, y)
-    _check_beta(beta1, "beta1")
-    _check_beta(beta2, "beta2", upper_inclusive=True)
-    return _fit_linear_model(
-        "dot_m",
-        t,
-        y,
-        [
-            ("decay_amp", beta1 ** t),
-            ("slope", np.sqrt(1.0 - beta2) * t),
-            ("offset", np.ones_like(t)),
-        ],
-        nonneg_names=("decay_amp", "slope"),
-        beta1=beta1,
-        beta2=beta2,
-        window=window,
-    )
+    """Fit the momentum/tracked-gradient model of TRACE_MODELS."""
+    return fit_model("dot_m", t, y, beta1, beta2, window)
 
 
-def fit_dot_dtheta(
-    t, y, beta1: float, beta2: float, window: int | None = None
-) -> FitResult:
-    """Fit the update/tracked-gradient inner product.
-
-    Model: -decay_amp * beta1^t / t + level + hyperbolic_amp / (t + shift),
-    all coefficients nonnegative, where level stands for the product
-    slope * sqrt(1-beta2). The shift runs over a fixed grid (0 to 100 in
-    steps of 0.5) with an inner constrained OLS; ties prefer the smallest
-    shift. Requires t >= 1 throughout. A window smooths the series and the
-    basis columns alike, as in the linear fitters.
-    """
-    t, y = _as_series(t, y)
-    _check_beta(beta1, "beta1")
-    _check_beta(beta2, "beta2", upper_inclusive=True)
-    if np.any(t < 1):
-        raise ValueError("the update-alignment model needs t >= 1")
-    decay_col = -(beta1 ** t) / t
-    level_col = np.ones_like(t)
-    y_fit = y
-    notes: list[str] = []
-    smooth = window is not None and window > 1
-    if smooth:
-        if window > len(t):
-            raise ValueError(f"window {window} exceeds series length {len(t)}")
-        y_fit = window_average(y, window)
-        decay_col = window_average(decay_col, window)
-        level_col = window_average(level_col, window)
-        notes.append(f"fit on window-{window} moving averages")
-
-    def design(shift: float) -> np.ndarray:
-        hyp_col = 1.0 / (t + shift)
-        if smooth:
-            hyp_col = window_average(hyp_col, window)
-        return np.column_stack([decay_col, level_col, hyp_col])
-
-    # Active sets that clamp hyperbolic_amp (mask bit 2) never see the
-    # shifted column: their solution, feasibility and residual are the same
-    # at every shift, so they are solved once, on the first shift's design.
-    nonneg = np.array([True, True, True])
-    constrained = np.flatnonzero(nonneg)
-    X0 = design(HYPERBOLIC_SHIFT_GRID[0])
-    shift_free = {
-        mask: _solve_active_set(X0, y_fit, constrained, _zeroed_columns(constrained, mask))
-        for mask in range(4, 8)
-    }
-    best = None
-    best_res = np.inf
-    best_shift = None
-    best_pred = None
-    for shift in HYPERBOLIC_SHIFT_GRID:
-        X = design(shift)
-        beta = _constrained_lstsq(X, y_fit, nonneg, solved=shift_free)
-        pred = X @ beta
-        res = float(np.sum((y_fit - pred) ** 2))
-        if best is None or res < best_res - 1e-12 * max(1.0, best_res):
-            best_res = res
-            best = beta
-            best_shift = float(shift)
-            best_pred = pred
-    coeffs = {
-        "decay_amp": float(best[0]),
-        "level": float(best[1]),
-        "hyperbolic_amp": float(best[2]),
-        "hyperbolic_shift": best_shift,
-    }
-    if beta2 == 1.0:
-        notes.append("beta2 = 1: level cannot be unfolded into a slope coefficient")
-    else:
-        # level is the product slope * sqrt(1-beta2); surface the slope too
-        coeffs["slope"] = coeffs["level"] / float(np.sqrt(1.0 - beta2))
-    return FitResult(
-        model="dot_dtheta",
-        coeffs=coeffs,
-        r_squared=_r_squared(y_fit, best_pred),
-        residual_norm=float(np.linalg.norm(y_fit - best_pred)),
-        beta1=beta1,
-        beta2=beta2,
-        t_range=(float(t.min()), float(t.max())),
-        degenerate=beta2 == 1.0,
-        notes=tuple(notes),
-    )
+def fit_dot_dtheta(t, y, beta1: float, beta2: float, window: int | None = None) -> FitResult:
+    """Fit the update/tracked-gradient model of TRACE_MODELS."""
+    return fit_model("dot_dtheta", t, y, beta1, beta2, window)
 
 
 def _check_beta(value: float, name: str, upper_inclusive: bool = False) -> None:
@@ -365,31 +349,14 @@ def _check_beta(value: float, name: str, upper_inclusive: bool = False) -> None:
         raise ValueError(f"{name} must lie in [0, {hi}, got {value}")
 
 
-def _eval_dot_dtheta(coeffs: dict, beta1: float, t: np.ndarray) -> np.ndarray:
-    return (
-        -coeffs["decay_amp"] * beta1 ** t / t
-        + coeffs["level"]
-        + coeffs["hyperbolic_amp"] / (t + coeffs["hyperbolic_shift"])
-    )
-
-
 def evaluate_fit(fit: FitResult, t) -> np.ndarray:
     """Evaluate a fitted model at the given step indices."""
+    spec = _trace_model(fit.model)
     t = np.asarray(t, dtype=float)
-    c = fit.coeffs
-    if fit.model == "g_norm":
-        return c["offset"] + c["slope"] * np.sqrt(1.0 - fit.beta2) * t
-    if fit.model in ("m_norm", "dot_m"):
-        return (
-            c["decay_amp"] * fit.beta1 ** t
-            + c["slope"] * np.sqrt(1.0 - fit.beta2) * t
-            + c["offset"]
-        )
-    if fit.model == "v_norm":
-        return c["offset"] + c["slope"] * t + c["quad"] * (1.0 - fit.beta2) * t ** 2
-    if fit.model == "dot_dtheta":
-        return _eval_dot_dtheta(c, fit.beta1, t)
-    raise ValueError(f"unknown model {fit.model!r}")
+    cols = spec.basis(t, fit.beta1, fit.beta2)
+    if spec.shift is not None:
+        cols.append(1.0 / (t + fit.coeffs[spec.shift]))
+    return np.stack(cols, axis=-1) @ np.array([fit.coeffs[name] for name in spec.coeffs])
 
 
 def predict_loss_curve(fit: FitResult, l0: float, T: int) -> np.ndarray:
@@ -405,8 +372,7 @@ def predict_loss_curve(fit: FitResult, l0: float, T: int) -> np.ndarray:
         raise ValueError(f"T must be >= 1, got {T}")
     pred = np.full(T, float(l0))
     if T > 1:
-        steps = np.arange(1, T, dtype=float)
-        increments = _eval_dot_dtheta(fit.coeffs, fit.beta1, steps)
+        increments = evaluate_fit(fit, np.arange(1, T, dtype=float))
         pred[1:] += np.concatenate([[0.0], np.cumsum(increments)[:-1]])
     return pred
 

@@ -31,13 +31,10 @@ from .analysis import (
     DEMO_MOMENTUM,
     DEMO_SECOND_MOMENT_PREV,
     DEMO_TRACKED_GRAD,
+    TRACE_MODELS,
     esp_metrics,
     evaluate_fit,
-    fit_dot_dtheta,
-    fit_dot_m,
-    fit_g_norm,
-    fit_m_norm,
-    fit_v_norm,
+    fit_model,
     nshape_delta,
     nshape_sweep,
     window_average,
@@ -54,9 +51,7 @@ from .traceio import (
 from .trainer import run as run_training
 from .trainer import oscillation_amplitude, run_toy
 
-MODELS = ("g_norm", "m_norm", "v_norm", "dot_m", "dot_dtheta")
-
-_NEEDS_BETA1 = ("m_norm", "dot_m", "dot_dtheta")
+MODELS = tuple(TRACE_MODELS)
 
 
 def _resolve_spec_path(name: str) -> Path:
@@ -144,6 +139,7 @@ def cmd_run(args) -> int:
 
 
 def cmd_fit(args) -> int:
+    model = TRACE_MODELS[args.model]
     trace = read_trace_csv(args.trace)
     rows = trace.epoch_rows(args.epoch)
     if len(rows) == 0:
@@ -160,16 +156,12 @@ def cmd_fit(args) -> int:
             file=sys.stderr,
         )
         return 2
-    t, y = t[finite], y[finite]
-    if args.model == "dot_dtheta":
-        keep = t >= 1.0
-        t, y = t[keep], y[keep]
+    keep = finite & (t >= model.min_t)
     if args.t_min is not None:
-        keep = t >= args.t_min
-        t, y = t[keep], y[keep]
+        keep &= t >= args.t_min
     if args.t_max is not None:
-        keep = t <= args.t_max
-        t, y = t[keep], y[keep]
+        keep &= t <= args.t_max
+    t, y = t[keep], y[keep]
     if len(t) < 2:
         print("error: not enough points left to fit", file=sys.stderr)
         return 2
@@ -180,7 +172,7 @@ def cmd_fit(args) -> int:
 
     beta1 = args.beta1
     beta2 = args.beta2
-    if beta2 is None or (beta1 is None and args.model in _NEEDS_BETA1):
+    if beta2 is None or (beta1 is None and model.needs_beta1):
         meta_path = Path(args.trace).with_name("meta.json")
         if meta_path.exists():
             with open(meta_path) as fh:
@@ -193,21 +185,11 @@ def cmd_fit(args) -> int:
     if beta2 is None:
         print("error: --beta2 is required (no meta.json next to the trace)", file=sys.stderr)
         return 2
-    if args.model in _NEEDS_BETA1 and beta1 is None:
+    if model.needs_beta1 and beta1 is None:
         print("error: --beta1 is required (no meta.json next to the trace)", file=sys.stderr)
         return 2
 
-    if args.model == "g_norm":
-        fit = fit_g_norm(t, y, beta2, window=window)
-    elif args.model == "m_norm":
-        fit = fit_m_norm(t, y, beta1, beta2, window=window)
-    elif args.model == "v_norm":
-        fit = fit_v_norm(t, y, beta2, window=window)
-    elif args.model == "dot_m":
-        fit = fit_dot_m(t, y, beta1, beta2, window=window)
-    else:
-        fit = fit_dot_dtheta(t, y, beta1, beta2, window=window)
-
+    fit = fit_model(args.model, t, y, beta1, beta2, window=window)
     out_dir = Path(args.out) if args.out else Path(args.trace).parent
     out_dir.mkdir(parents=True, exist_ok=True)
     fitted = evaluate_fit(fit, t)

@@ -66,7 +66,6 @@ _ALL_KEYS = _FLOAT_KEYS | _INT_KEYS | _BOOL_KEYS | _STR_KEYS | _LIST_KEYS
 
 # spec key -> RunConfig field, where the names differ
 _CONFIG_RENAMES = {"epochs": "num_epochs", "epoch_start_probe": "epoch_start_probe_epoch"}
-_NON_CONFIG_KEYS = {"name", "out", "emit", "sweep_cap", "workers", "window"}
 
 _VALID_EMIT = ("csv", "svg")
 
@@ -173,14 +172,11 @@ def parse_spec(text: str, source: str = "spec") -> ExperimentSpec:
         if key == "sweep_cap":
             spec.sweep_cap = _convert(key, value, source, lineno)
             continue
-        if key == "workers":
-            w = _convert(key, value, source, lineno)
-            if w < 1:
-                raise SpecError("workers must be >= 1", source, lineno)
-            spec.workers = w
-            continue
-        if key == "window":
-            spec.window = _convert(key, value, source, lineno)
+        if key in ("workers", "window"):
+            converted = _convert(key, value, source, lineno)
+            if converted < 1:
+                raise SpecError(f"{key} must be >= 1", source, lineno)
+            setattr(spec, key, converted)
             continue
 
         if "," in value:

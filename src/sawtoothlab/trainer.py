@@ -128,6 +128,12 @@ class RunConfig:
         if self.divergence_ceiling <= 0:
             raise ValueError("divergence_ceiling must be positive")
         self.adam_config()  # lr, betas, epsilon and weight_decay
+        if self.optimizer != "adam" and self.weight_decay != 0:
+            # only adam_step reads it, so it would be recorded and ignored
+            raise ValueError(
+                f"weight_decay applies to adam only, got {self.weight_decay} "
+                f"for {self.optimizer}"
+            )
         if self.optimizer != "sgd" and not self.epsilon > 0:
             # every coordinate a batch misses would divide 0 by sqrt(0)
             raise ValueError(

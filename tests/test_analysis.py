@@ -1,5 +1,7 @@
 """Sawtooth metrics, trace-model fitters, and the similarity sweep."""
 
+import functools
+import hashlib
 from types import SimpleNamespace
 
 import numpy as np
@@ -164,15 +166,23 @@ def test_fit_dot_dtheta_tie_prefers_smallest_shift():
     assert fit.coeffs["hyperbolic_amp"] == pytest.approx(0.0, abs=1e-8)
 
 
+@functools.lru_cache(maxsize=None)
+def _probed_trace():
+    return run(RunConfig(num_functions=300, dim=60, problem_seed=3, seed=4,
+                         num_epochs=3, tracked_batch=7)).trace
+
+
 def _alignment_series():
     """Probed-run epochs plus planted series that bind different active sets."""
-    res = run(RunConfig(num_functions=300, dim=60, problem_seed=3, seed=4,
-                        num_epochs=3, tracked_batch=7))
-    trace = res.trace
+    trace = _probed_trace()
     for epoch in np.unique(trace.epoch):
         rows = trace.epoch_rows(epoch)
         keep = trace.step[rows] >= 1
         yield trace.step[rows][keep].astype(float), trace.dot_dtheta[rows][keep]
+    yield from _planted_series()
+
+
+def _planted_series():
     t = np.arange(1, 401, dtype=float)
     noise = 0.01 * np.random.default_rng(3).standard_normal(len(t))
     yield t, -2.0 * 0.9 ** t / t + 0.3 + 1.5 / (t + 3.0)
@@ -191,6 +201,114 @@ def test_fit_dot_dtheta_matches_unhoisted_reference(window):
         assert fit.r_squared == ref.r_squared
         assert fit.residual_norm == ref.residual_norm
         assert fit.notes == ref.notes
+
+
+FITTERS = {
+    "g_norm": lambda t, y, b1, b2, w: fit_g_norm(t, y, b2, window=w),
+    "m_norm": lambda t, y, b1, b2, w: fit_m_norm(t, y, b1, b2, window=w),
+    "v_norm": lambda t, y, b1, b2, w: fit_v_norm(t, y, b2, window=w),
+    "dot_m": lambda t, y, b1, b2, w: fit_dot_m(t, y, b1, b2, window=w),
+    "dot_dtheta": lambda t, y, b1, b2, w: fit_dot_dtheta(t, y, b1, b2, window=w),
+}
+
+
+def _model_series(model):
+    """Every epoch of a probed run's `model` column, then the planted series."""
+    trace = _probed_trace()
+    for epoch in np.unique(trace.epoch):
+        rows = trace.epoch_rows(epoch)
+        t = trace.step[rows].astype(float)
+        y = getattr(trace, model)[rows]
+        keep = t >= (1.0 if model == "dot_dtheta" else 0.0)
+        yield t[keep], y[keep]
+    yield from _planted_series()
+
+
+def _fit_digest(model, window, betas):
+    h = hashlib.sha256()
+    for beta1, beta2 in betas:
+        for t, y in _model_series(model):
+            fit = FITTERS[model](t, y, beta1, beta2, window)
+            h.update(repr((fit.coeffs, fit.r_squared, fit.residual_norm,
+                           bool(fit.degenerate), fit.notes)).encode())
+    return h.hexdigest()
+
+
+# SHA-256 of repr((coeffs, r_squared, residual_norm, degenerate, notes)) over
+# _model_series, recorded before the five fitters shared fit_model; the
+# flag is taken as a bool because the linear fitters returned numpy bools.
+FIT_DIGESTS = {
+    ("g_norm", None):
+        "7349bbe3fe8e22c1af61708084ce94abe16b9f814d49c454171b54863402dbfd",
+    ("g_norm", 25):
+        "407b98b32aa00a5e0924f0b56bd06a28f4c4799e5e34c03187e5eba95702f584",
+    ("m_norm", None):
+        "91c8e9c89dca57cce357d4b9c08c95ab4cb7db7f82b6883420bab9ef0e71e747",
+    ("m_norm", 25):
+        "ce8357ba2b86c2b192d0efd93b832bbfa524ce3de5b289fd6902ab3213da8da5",
+    ("v_norm", None):
+        "80aae3285522d7422852c28f0d391b707c407d8b1a52f91609cfbc1811ee85c8",
+    ("v_norm", 25):
+        "6913ec093415d57d378a8d695887eb3cd2ce927d417769acde53a8d5562786c7",
+    ("dot_m", None):
+        "3d149d24da0440fed4c90ae3a19df7f33de48f58a7de3452a524b1fcef9b7003",
+    ("dot_m", 25):
+        "a71152fdb989d6f8b2a33d62d7e66f0b0bcbda0161341f30f5aa5f8c8ec438df",
+    ("dot_dtheta", None):
+        "710de2d811cf2d91c0729e52689a4cc9f48be30e51d1d6f227bed7199cf802bc",
+    ("dot_dtheta", 25):
+        "56f41ee4534c74810d69bff95212f93800e7a2b69d9c96b9015f3616c227ee24",
+}
+# The same at beta1 = 0, where the decaying column vanishes from t = 1 on.
+# dot_dtheta's two digests were recorded after the change: its fitter used
+# to keep the zero column, report degenerate = False and add no note, with
+# coefficients a few ulps away from the ones the dropped column gives.
+BETA1_ZERO_DIGESTS = {
+    ("g_norm", None):
+        "72e1ddab17ed3e8273b1f47d1cd0e0461a727bf75cbeffbc5be402f395bce0e9",
+    ("g_norm", 25):
+        "52cea76751dc5743d1e5739ce32a393ebd4918749ad13f0f18e1c0813d6f1f7f",
+    ("m_norm", None):
+        "f9470e61ba304f68dd7180c25db4a78357da641894705c0fa1c869bfd7c49b82",
+    ("m_norm", 25):
+        "22f833dad75da1b69b29bcf7bd0d4b4751f84a9baf27cda4345a51ea73e21302",
+    ("v_norm", None):
+        "cdb5ee44ad557d71e5672041276c2adc1a9f7d07ee696e99c9e11552923e62f6",
+    ("v_norm", 25):
+        "54dada7860f74f00eb2cdd5c74c007dbd6e8edd7b927102275a168e2a5ff1fc0",
+    ("dot_m", None):
+        "4931f6ecdfbbddf83573b5e2bd2272221ac20f4f6ad1d53b7d9be630c7f6f879",
+    ("dot_m", 25):
+        "fad8f1f522e6afffa97ffde6b020e0cdbab0558ee86678e111d67183c46cae2c",
+    ("dot_dtheta", None):
+        "d52f1c8cff83019aaf7adfe1453a830cb98677e1476013e35c0570611f2a3569",
+    ("dot_dtheta", 25):
+        "2d37a7c6122f878d490a3ac86938880e736f8caa6768a6795b72c6690fe1e494",
+}
+
+
+@pytest.mark.parametrize("model, window", list(FIT_DIGESTS))
+def test_fit_results_match_recorded_digests(model, window):
+    betas = ((0.9, 0.999), (0.9, 1.0))
+    assert _fit_digest(model, window, betas) == FIT_DIGESTS[model, window]
+
+
+@pytest.mark.parametrize("model, window", list(BETA1_ZERO_DIGESTS))
+def test_beta1_zero_fit_results_match_recorded_digests(model, window):
+    betas = ((0.0, 0.999),)
+    assert _fit_digest(model, window, betas) == BETA1_ZERO_DIGESTS[model, window]
+
+
+@pytest.mark.parametrize("window", [None, 25])
+def test_dot_dtheta_at_beta1_zero_flags_its_vanishing_decay_column(window):
+    t = np.arange(1, 401, dtype=float)
+    fit = fit_dot_dtheta(t, 0.3 + 1.5 / (t + 3.0), 0.0, 0.999, window=window)
+    assert fit.degenerate
+    assert "degenerate columns fixed at zero: decay_amp" in fit.notes
+    assert fit.coeffs["decay_amp"] == 0.0
+    assert fit.coeffs["level"] == pytest.approx(0.3, abs=1e-9)
+    assert fit.coeffs["hyperbolic_amp"] == pytest.approx(1.5, abs=1e-9)
+    assert fit.coeffs["hyperbolic_shift"] == 3.0
 
 
 def test_fit_dot_dtheta_rejects_small_t():
@@ -302,15 +420,24 @@ def test_series_validation():
         fit_g_norm([1.0, 2.0], [1.0, 2.0], beta2=1.5)
 
 
-def test_evaluate_fit_round_trip():
+# planted series of each model, at beta1 = 0.9 and beta2 = 0.999
+ROUND_TRIP_SERIES = {
+    "g_norm": lambda t: 1.5 + 0.01 * np.sqrt(1 - 0.999) * t,
+    "m_norm": lambda t: 0.6 * 0.9 ** t + 0.02 * np.sqrt(1 - 0.999) * t + 0.3,
+    "v_norm": lambda t: 0.5 + 0.003 * t + 2.0 * (1 - 0.999) * t ** 2,
+    "dot_m": lambda t: 1.2 * 0.9 ** t + 0.05 * np.sqrt(1 - 0.999) * t - 0.2,
+    "dot_dtheta": lambda t: -1.0 * 0.9 ** t / t + 0.2 + 0.8 / (t + 5.0),
+}
+
+
+@pytest.mark.parametrize("model", list(ROUND_TRIP_SERIES))
+def test_evaluate_fit_round_trip(model):
     t = np.arange(1, 301, dtype=float)
-    beta1, beta2 = 0.9, 0.999
-    y = -1.0 * beta1 ** t / t + 0.2 + 0.8 / (t + 5.0)
-    fit = fit_dot_dtheta(t, y, beta1, beta2)
+    y = ROUND_TRIP_SERIES[model](t)
+    fit = FITTERS[model](t, y, 0.9, 0.999, None)
     np.testing.assert_allclose(evaluate_fit(fit, t), y, atol=1e-8)
-    y2 = 1.5 + 0.01 * np.sqrt(1 - beta2) * t
-    fit2 = fit_g_norm(t, y2, beta2)
-    np.testing.assert_allclose(evaluate_fit(fit2, t), y2, atol=1e-8)
+    # unsmoothed, the evaluation is the prediction the fit scored
+    assert fit.residual_norm == float(np.linalg.norm(y - evaluate_fit(fit, t)))
 
 
 def _alignment_fit(decay_amp, level, hyp, shift, beta1=0.9):

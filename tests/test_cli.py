@@ -70,6 +70,11 @@ def test_run_exit_codes(tmp_path):
     invalid.write_text(TINY_SPEC.replace("tracked_batch = 3", "tracked_batch = 60"))
     assert main(["run", str(invalid), "--out", str(tmp_path / "o")]) == 2
     assert not (tmp_path / "o").exists()
+    # a window below 1 used to pass the parser, train every point, then fail
+    windowless = tmp_path / "windowless.spec"
+    windowless.write_text(TINY_SPEC + "window = 0\n")
+    assert main(["run", str(windowless), "--out", str(tmp_path / "w")]) == 2
+    assert not (tmp_path / "w").exists()
 
 
 def test_run_rejects_bad_sweep_point_before_any_point_runs(tmp_path, capsys):

@@ -114,6 +114,10 @@ def test_invalid_config_surfaces_as_spec_error():
         parse_spec(BASE + "epsilon = 1e-8, 0\n")
     with pytest.raises(SpecError, match="tracked_batch"):
         parse_spec("num_functions = 800\nbatch_size = 1, 8\n")
+    # only Adam applies weight decay; the others would record and ignore it
+    for optimizer in ("rmsprop", "sgd"):
+        with pytest.raises(SpecError, match="weight_decay applies to adam only"):
+            parse_spec(BASE + f"optimizer = {optimizer}\nweight_decay = 0.1\n")
 
 
 def test_runner_settings():
@@ -123,6 +127,10 @@ def test_runner_settings():
     assert spec.out == "results/here"
     with pytest.raises(SpecError, match="workers must be >= 1"):
         parse_spec(BASE + "workers = 0\n")
+    # BASE ends on line 7, so the window setting sits on line 8
+    for bad in ("0", "-3"):
+        with pytest.raises(SpecError, match=r"spec:8: window must be >= 1"):
+            parse_spec(BASE + f"window = {bad}\n")
 
 
 def test_load_spec_reads_file(tmp_path):

@@ -145,17 +145,19 @@ def test_minibatch_path_matches_building_blocks(optimizer):
     bias_correction=st.booleans(),
     beta2=st.sampled_from([0.9, 0.999, 1.0]),
     epsilon=st.sampled_from([1e-8, 1e-3]),
-    weight_decay=st.sampled_from([0.0, 0.1]),
     num_functions=st.integers(8, 40),
     dim=st.integers(3, 20),
     seed=st.integers(0, 2**16),
     data=st.data(),
 )
 def test_run_matches_building_blocks_on_random_configs(
-    optimizer, batch_size, policy, bias_correction, beta2, epsilon, weight_decay,
+    optimizer, batch_size, policy, bias_correction, beta2, epsilon,
     num_functions, dim, seed, data,
 ):
     bpe = batches_per_epoch(num_functions, batch_size)
+    # RunConfig accepts weight decay for Adam only
+    decays = st.sampled_from([0.0, 0.1]) if optimizer == "adam" else st.just(0.0)
+    weight_decay = data.draw(decays, label="weight_decay")
     config = RunConfig(
         optimizer=optimizer, batch_size=batch_size, policy=policy,
         bias_correction=bias_correction, beta2=beta2, epsilon=epsilon,
@@ -349,6 +351,9 @@ def test_config_validation():
         {"epsilon": 0.0},
         {"optimizer": "rmsprop", "epsilon": 0.0},
         {"weight_decay": -0.1},
+        # only adam_step applies weight decay
+        {"optimizer": "rmsprop", "weight_decay": 0.1},
+        {"optimizer": "sgd", "weight_decay": 0.1},
     ):
         with pytest.raises(ValueError):
             RunConfig(**{**SMALL, **bad})
