@@ -139,6 +139,9 @@ def cmd_run(args) -> int:
 
 
 def cmd_fit(args) -> int:
+    if args.window < 1:
+        print(f"error: --window must be >= 1, got {args.window}", file=sys.stderr)
+        return 2
     model = TRACE_MODELS[args.model]
     trace = read_trace_csv(args.trace)
     rows = trace.epoch_rows(args.epoch)
@@ -363,7 +366,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--window",
         type=int,
         default=1,
-        help="moving-average width applied to the series and basis during the fit",
+        help="moving-average width (>= 1; 1 fits unsmoothed) applied to the series and basis",
     )
     p_fit.add_argument("--t-min", type=float, dest="t_min")
     p_fit.add_argument("--t-max", type=float, dest="t_max")

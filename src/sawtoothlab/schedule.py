@@ -151,9 +151,13 @@ def boundary_overlap_mc(
 ) -> tuple[float, float]:
     """Monte Carlo mean and standard error of the boundary-batch overlap.
 
-    Each trial draws two independent permutations and counts the samples
-    shared by the tail batch of the first and the head batch of the second.
-    Runs in chunks so large trial counts stay in bounded memory.
+    One trial is one fresh-shuffle epoch boundary, with B dividing N. The
+    last B items of a uniform permutation are a uniform B-subset, and the
+    next epoch's permutation is independent, so a trial draws only those
+    two subsets (``rng.choice(N, B, replace=False)`` each) and counts the
+    items shared by the tail and head batches. The count follows the
+    Hypergeometric(N, B, B) law; tests/test_schedule.py checks its mean
+    B^2/N and its variance here and on real ``EpochSchedule`` boundaries.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
@@ -161,18 +165,13 @@ def boundary_overlap_mc(
     if not 1 <= b <= n:
         raise ValueError(f"batch_size must lie in [1, {n}], got {b}")
     rng = np.random.default_rng(seed)
-    chunk = max(1, min(trials, 2_000_000 // max(n, 1)))
-    counts = np.empty(trials)
-    base = np.arange(n, dtype=np.int32)
-    done = 0
-    while done < trials:
-        k = min(chunk, trials - done)
-        tails = rng.permuted(np.broadcast_to(base, (k, n)), axis=1)[:, -b:]
-        heads = rng.permuted(np.broadcast_to(base, (k, n)), axis=1)[:, :b]
-        offset = (np.arange(k, dtype=np.int64) * n)[:, None]
-        shared = np.isin(tails + offset, heads + offset)
-        counts[done : done + k] = shared.sum(axis=1)
-        done += k
+    in_tail = np.zeros(n, dtype=bool)
+    counts = np.empty(trials, dtype=np.int64)
+    for k in range(trials):
+        tail = rng.choice(n, b, replace=False)
+        in_tail[tail] = True
+        counts[k] = np.count_nonzero(in_tail[rng.choice(n, b, replace=False)])
+        in_tail[tail] = False
     mean = float(np.mean(counts))
     se = float(np.std(counts, ddof=1) / np.sqrt(trials)) if trials > 1 else float("inf")
     return mean, se

@@ -139,6 +139,9 @@ class RunConfig:
             raise ValueError(
                 f"epsilon must be positive for {self.optimizer}, got {self.epsilon}"
             )
+        if self.optimizer != "sgd" and self.beta2 == 1:
+            # v never leaves 0, so every step is lr*m/epsilon and the run diverges
+            raise ValueError(f"beta2 must be < 1 for {self.optimizer}, got {self.beta2}")
         if not 1 <= self.batch_size <= self.num_functions:
             raise ValueError(
                 f"batch_size must lie in [1, {self.num_functions}], got {self.batch_size}"

@@ -135,6 +135,12 @@ def test_fit_error_paths(tiny_run, tmp_path, capsys):
     assert "no rows" in capsys.readouterr().err
     assert main(["fit", trace, "--model", "g_norm", "--epoch", "2", "--window", "99"]) == 2
     assert "window longer" in capsys.readouterr().err
+    # a window below 1 is an error, not a request for no smoothing
+    for window in ("0", "-7"):
+        assert main(["fit", trace, "--model", "g_norm", "--epoch", "2", "--window", window]) == 2
+        assert "error: --window must be >= 1" in capsys.readouterr().err
+    assert not (tiny_run / "fit_g_norm.csv").exists()
+    assert main(["fit", trace, "--model", "g_norm", "--epoch", "2", "--window", "1"]) == 0
     # no meta.json next to the trace and no --beta2 on the command line
     bare = tmp_path / "bare"
     bare.mkdir()

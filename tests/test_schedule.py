@@ -1,5 +1,7 @@
 """Batch ordering policies and the boundary-overlap statistic."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -31,6 +33,12 @@ def test_validation():
         EpochSchedule("shuffle", 0, 1, seed=0)
     with pytest.raises(ValueError):
         expected_overlap(10, 0)
+    for trials in (0, -3):
+        with pytest.raises(ValueError):
+            boundary_overlap_mc(10, 2, trials)
+    for batch_size in (0, -1, 11):
+        with pytest.raises(ValueError):
+            boundary_overlap_mc(10, batch_size, 100)
 
 
 def test_shuffle_epochs_are_permutations():
@@ -126,8 +134,73 @@ def test_expected_overlap_values():
     assert expected_overlap(1000, 1) == pytest.approx(0.001)
 
 
+# The statistical checks below use seed 0 and a 4-SE bound on the mean and
+# on the variance, both fixed before the checks were first run.
+Z = 4.0
+
+
+def _hypergeometric_moments(n, b):
+    """Mean, variance and fourth central moment of Hypergeometric(N, B, B).
+
+    The law of |S ∩ T| for independent uniform B-subsets S, T of N items,
+    computed from its pmf C(B, k) C(N-B, B-k) / C(N, B).
+    """
+    total = math.comb(n, b)
+    ks = np.arange(max(0, 2 * b - n), b + 1)
+    pmf = np.array([math.comb(b, k) * math.comb(n - b, b - k) / total for k in ks])
+    mean = float(pmf @ ks)
+    var = float(pmf @ (ks - mean) ** 2)
+    mu4 = float(pmf @ (ks - mean) ** 4)
+    return mean, var, mu4
+
+
+def _assert_follows_hypergeometric(mean, var, count, n, b):
+    """Sample mean and variance of `count` i.i.d. draws within Z SE of the law."""
+    law_mean, law_var, law_mu4 = _hypergeometric_moments(n, b)
+    assert law_mean == pytest.approx(b * b / n)
+    assert law_var == pytest.approx(b * b * (n - b) ** 2 / (n * n * (n - 1)))
+    assert abs(mean - law_mean) <= Z * math.sqrt(law_var / count)
+    # the large-sample SE of a sample variance is sqrt((mu4 - var^2) / count)
+    assert abs(var - law_var) <= Z * math.sqrt((law_mu4 - law_var**2) / count)
+
+
+def _shuffle_boundary_overlaps(n, b, epochs, seed):
+    """|last batch of epoch e ∩ first batch of epoch e+1| along one schedule."""
+    sched = EpochSchedule("shuffle", n, b, seed)
+    counts = []
+    last = None
+    for epoch in range(1, epochs + 1):
+        batch = sched.next_batch().indices
+        assert sched.epoch == epoch
+        if last is not None:
+            counts.append(len(np.intersect1d(last, batch)))
+        for _ in range(batches_per_epoch(n, b) - 1):
+            batch = sched.next_batch().indices
+        last = batch
+    return np.array(counts)
+
+
 def test_overlap_mc_matches_closed_form():
     mean, se = boundary_overlap_mc(200, 20, trials=20000, seed=0)
     expected = expected_overlap(200, 20)
     assert se < 0.05
     assert abs(mean - expected) < 4 * se
+    # the function returns se = std / sqrt(trials); undo it for the variance
+    _assert_follows_hypergeometric(mean, se * se * 20000, 20000, 200, 20)
+
+
+def test_overlap_mc_is_deterministic_per_seed():
+    assert boundary_overlap_mc(300, 10, 500, seed=3) == boundary_overlap_mc(300, 10, 500, seed=3)
+    assert boundary_overlap_mc(300, 10, 1, seed=3)[1] == math.inf
+
+
+@pytest.mark.parametrize("n, b, epochs", [(200, 20, 20000), (10000, 100, 2000)])
+def test_shuffle_schedule_boundary_overlap_is_hypergeometric(n, b, epochs):
+    # Consecutive boundaries share an epoch order, but their counts are
+    # uncorrelated (independent, in fact): given every order up to epoch e,
+    # the head batch of epoch e+1 is a fresh uniform B-subset, so the count
+    # at boundary e has the same law whatever came before. The usual SE of
+    # a mean of i.i.d. draws therefore holds.
+    counts = _shuffle_boundary_overlaps(n, b, epochs, seed=0)
+    assert len(counts) == epochs - 1
+    _assert_follows_hypergeometric(counts.mean(), counts.var(ddof=1), len(counts), n, b)

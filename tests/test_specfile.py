@@ -114,6 +114,9 @@ def test_invalid_config_surfaces_as_spec_error():
         parse_spec(BASE + "epsilon = 1e-8, 0\n")
     with pytest.raises(SpecError, match="tracked_batch"):
         parse_spec("num_functions = 800\nbatch_size = 1, 8\n")
+    for optimizer in ("adam", "rmsprop"):
+        with pytest.raises(SpecError, match=f"beta2 must be < 1 for {optimizer}"):
+            parse_spec(BASE + f"optimizer = {optimizer}\nbeta2 = 0.999, 1.0\n")
     # only Adam applies weight decay; the others would record and ignore it
     for optimizer in ("rmsprop", "sgd"):
         with pytest.raises(SpecError, match="weight_decay applies to adam only"):

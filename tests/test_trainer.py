@@ -105,7 +105,7 @@ def test_run_is_deterministic():
 
 
 @pytest.mark.parametrize("optimizer", ["adam", "rmsprop", "sgd"])
-def test_scalar_fast_path_matches_building_blocks(optimizer):
+def test_b1_run_matches_building_blocks(optimizer):
     _assert_matches_mirror(RunConfig(optimizer=optimizer, **SMALL))
 
 
@@ -143,7 +143,7 @@ def test_minibatch_path_matches_building_blocks(optimizer):
     batch_size=st.sampled_from([1, 2, 3, 8]),
     policy=st.sampled_from(POLICIES),
     bias_correction=st.booleans(),
-    beta2=st.sampled_from([0.9, 0.999, 1.0]),
+    beta2=st.sampled_from([0.9, 0.999]),
     epsilon=st.sampled_from([1e-8, 1e-3]),
     num_functions=st.integers(8, 40),
     dim=st.integers(3, 20),
@@ -166,8 +166,7 @@ def test_run_matches_building_blocks_on_random_configs(
         tracked_batch=data.draw(st.integers(0, bpe - 1), label="tracked_batch"),
     )
     # The mirror has no divergence ceiling, so it only describes runs that
-    # finish. beta2 = 1 keeps Adam's and RMSProp's v at zero, which makes
-    # every step lr * m / epsilon: at these epsilons those runs all diverge.
+    # finish.
     assume(not run(config).diverged)
     _assert_matches_mirror(config)
 
@@ -218,7 +217,7 @@ def test_trace_bytes_match_recorded_digests(case, tmp_path):
     assert hashlib.sha256(data).hexdigest() == digest
 
 
-def test_weight_decay_routes_to_generic_path():
+def test_weight_decay_run_matches_building_blocks():
     cfg = RunConfig(weight_decay=0.1, **SMALL)
     _assert_matches_mirror(cfg)
     plain = run(RunConfig(**SMALL)).trace
@@ -346,6 +345,9 @@ def test_config_validation():
         {"lr": 0.0},
         {"beta1": 1.0},
         {"beta2": 1.5},
+        # v would stay 0 and every step would be lr * m / epsilon
+        {"beta2": 1.0},
+        {"optimizer": "rmsprop", "beta2": 1.0},
         {"optimizer": "sgd", "beta1": -0.1},
         {"epsilon": -1e-8},
         {"epsilon": 0.0},
@@ -361,6 +363,8 @@ def test_config_validation():
     RunConfig(optimizer="rmsprop", **{**SMALL, "beta1": 1.0})
     # SGD never divides by the second moment, so epsilon = 0 is harmless
     RunConfig(optimizer="sgd", **{**SMALL, "epsilon": 0.0})
+    # and it keeps no second moment, so beta2 = 1 is harmless too
+    RunConfig(optimizer="sgd", **{**SMALL, "beta2": 1.0})
 
 
 def test_vector_x_init():
