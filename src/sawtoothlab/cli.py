@@ -40,7 +40,7 @@ from .analysis import (
     window_average,
 )
 from .schedule import boundary_overlap_mc, expected_overlap
-from .specfile import SpecError, load_spec
+from .specfile import SpecError, load_spec, read_settings
 from .traceio import (
     read_trace_csv,
     render_line_chart_svg,
@@ -235,28 +235,27 @@ def cmd_toy(args) -> int:
     ]
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
+    traces = {}
     amplitudes = {}
     for label, beta1 in cases:
         sequencing = "fixed" if label == "fixed" else "reversed"
-        result = run_toy(sequencing, beta1, lr=args.lr, epochs=args.epochs)
-        amp = oscillation_amplitude(result.trace)
+        trace = run_toy(sequencing, beta1, lr=args.lr, epochs=args.epochs).trace
+        traces[label] = trace
+        amp = oscillation_amplitude(trace)
         amplitudes[label] = amp
-        write_trace_csv(result.trace, out_dir / f"toy_{label}.csv")
+        write_trace_csv(trace, out_dir / f"toy_{label}.csv")
         print(f"{label}: amplitude={amp:.6g}")
     ordered = (
         amplitudes["fixed"] < amplitudes["reversed"] < amplitudes["reversed_momentum"]
     )
     print(f"ordering fixed < reversed < reversed_momentum: {ordered}")
     if args.svg:
-        series = []
-        for label, _ in cases:
-            trace = read_trace_csv(out_dir / f"toy_{label}.csv")
-            series.append(
-                (label, np.arange(len(trace), dtype=float), trace.batch_loss)
-            )
         render_line_chart_svg(
             out_dir / "toy.svg",
-            series,
+            [
+                (label, np.arange(len(trace), dtype=float), trace.batch_loss)
+                for label, trace in traces.items()
+            ],
             title="two-batch sequencing demonstration",
             x_label="step",
             y_label="batch loss",
@@ -264,27 +263,19 @@ def cmd_toy(args) -> int:
     return 0
 
 
+_VECTORS = ("grad", "momentum", "second_moment_prev", "grad_squared")
+
+
 def _parse_vector_file(path) -> dict[str, np.ndarray]:
-    wanted = ("grad", "momentum", "second_moment_prev", "grad_squared")
-    values: dict[str, np.ndarray] = {}
     with open(path) as fh:
-        for lineno, rawline in enumerate(fh, start=1):
-            stripped = rawline.split("#", 1)[0].strip()
-            if not stripped:
-                continue
-            if "=" not in stripped:
-                raise SpecError("expected 'key = v1, v2, ...'", str(path), lineno)
-            key, _, value = stripped.partition("=")
-            key = key.strip()
-            if key not in wanted:
-                raise SpecError(f"unknown vector {key!r}", str(path), lineno)
-            try:
-                values[key] = np.array(
-                    [float(v) for v in value.split(",")], dtype=float
-                )
-            except ValueError:
-                raise SpecError(f"bad number in {key!r}", str(path), lineno) from None
-    missing = [k for k in wanted if k not in values]
+        text = fh.read()
+    values: dict[str, np.ndarray] = {}
+    for lineno, key, value in read_settings(text, _VECTORS, str(path)):
+        try:
+            values[key] = np.array([float(v) for v in value.split(",")], dtype=float)
+        except ValueError:
+            raise SpecError(f"bad number in {key!r}", str(path), lineno) from None
+    missing = [k for k in _VECTORS if k not in values]
     if missing:
         raise SpecError(f"missing vectors: {', '.join(missing)}", str(path))
     lengths = {len(v) for v in values.values()}
@@ -332,14 +323,24 @@ def cmd_nshape(args) -> int:
 
 
 def cmd_overlap(args) -> int:
+    if args.mc < 0 or args.mc == 1:
+        # one trial has no standard error to measure the mean against
+        print(f"error: --mc must be 0 or at least 2 trials, got {args.mc}", file=sys.stderr)
+        return 2
     expected = expected_overlap(args.num_samples, args.batch_size)
     print(f"expected boundary overlap: {expected:.6g}")
     if args.mc:
         mean, se = boundary_overlap_mc(
             args.num_samples, args.batch_size, args.mc, seed=args.seed
         )
-        sigmas = abs(mean - expected) / se if se > 0 else float("inf")
-        print(f"monte carlo ({args.mc} trials): {mean:.6g} +/- {se:.2g} ({sigmas:.2f} se from expected)")
+        if se > 0:
+            match = f"{abs(mean - expected) / se:.2f} se from expected"
+        elif mean == expected:
+            # every trial drew the same count, the expected one (B = N)
+            match = "exact match with expected"
+        else:
+            match = "inf se from expected"
+        print(f"monte carlo ({args.mc} trials): {mean:.6g} +/- {se:.2g} ({match})")
     return 0
 
 

@@ -2,10 +2,11 @@
 
 The boundary between two epochs is where sample re-exposure happens: under
 fresh shuffling the expected number of samples shared by the last batch of
-one epoch and the first batch of the next is B^2/N. The policies here span
-the interesting range: fresh shuffles, a frozen order, an order that exactly
-reverses every epoch (maximal boundary re-exposure), and i.i.d. sampling
-with replacement (no epoch structure at all).
+one epoch and the first batch of the next is B^2/N, or r*B/N when the last
+batch is a short one of r items. The policies here span the interesting
+range: fresh shuffles, a frozen order, an order that exactly reverses every
+epoch (maximal boundary re-exposure), and i.i.d. sampling with replacement
+(no epoch structure at all).
 """
 
 from __future__ import annotations
@@ -130,20 +131,27 @@ class EpochSchedule:
         return self._order.copy()
 
 
-def expected_overlap(num_samples: int, batch_size: int) -> float:
-    """Expected shared-sample count between boundary batches, B^2/N.
-
-    The last batch of one fresh permutation and the first batch of the next
-    are independent uniform size-B subsets, so each of the B slots of one
-    falls in the other with probability B/N.
-    """
+def _last_batch_size(num_samples: int, batch_size: int) -> int:
+    """r = N - (ceil(N/B) - 1) * B, the size of an epoch's last batch (B if B divides N)."""
     if num_samples < 1:
         raise ValueError(f"num_samples must be >= 1, got {num_samples}")
     if not 1 <= batch_size <= num_samples:
         raise ValueError(
             f"batch_size must lie in [1, {num_samples}], got {batch_size}"
         )
-    return batch_size * batch_size / num_samples
+    return num_samples - (batches_per_epoch(num_samples, batch_size) - 1) * batch_size
+
+
+def expected_overlap(num_samples: int, batch_size: int) -> float:
+    """Expected shared-sample count between boundary batches, r*B/N.
+
+    The last batch of one fresh permutation holds r items (r = B when B
+    divides N, else N mod B) and the first batch of the next holds B. They
+    are independent uniform subsets, so each of the r items falls in the
+    head batch with probability B/N; when B divides N this is B^2/N.
+    """
+    r = _last_batch_size(num_samples, batch_size)
+    return r * batch_size / num_samples
 
 
 def boundary_overlap_mc(
@@ -151,24 +159,24 @@ def boundary_overlap_mc(
 ) -> tuple[float, float]:
     """Monte Carlo mean and standard error of the boundary-batch overlap.
 
-    One trial is one fresh-shuffle epoch boundary, with B dividing N. The
-    last B items of a uniform permutation are a uniform B-subset, and the
-    next epoch's permutation is independent, so a trial draws only those
-    two subsets (``rng.choice(N, B, replace=False)`` each) and counts the
-    items shared by the tail and head batches. The count follows the
-    Hypergeometric(N, B, B) law; tests/test_schedule.py checks its mean
-    B^2/N and its variance here and on real ``EpochSchedule`` boundaries.
+    One trial is one fresh-shuffle epoch boundary. The last r items of a
+    uniform permutation are a uniform r-subset (r the last batch's size, as
+    in expected_overlap), and the next epoch's permutation is independent,
+    so a trial draws only the tail r-subset and the head B-subset
+    (``rng.choice`` without replacement each) and counts the items they
+    share. The count follows the Hypergeometric(N, r, B) law;
+    tests/test_schedule.py checks its mean r*B/N and its variance here and
+    on real ``EpochSchedule`` boundaries.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
     n, b = num_samples, batch_size
-    if not 1 <= b <= n:
-        raise ValueError(f"batch_size must lie in [1, {n}], got {b}")
+    r = _last_batch_size(n, b)
     rng = np.random.default_rng(seed)
     in_tail = np.zeros(n, dtype=bool)
     counts = np.empty(trials, dtype=np.int64)
     for k in range(trials):
-        tail = rng.choice(n, b, replace=False)
+        tail = rng.choice(n, r, replace=False)
         in_tail[tail] = True
         counts[k] = np.count_nonzero(in_tail[rng.choice(n, b, replace=False)])
         in_tail[tail] = False

@@ -1,9 +1,14 @@
 """Flat key-value experiment spec files.
 
 One setting per line, ``key = value``, with ``#`` comments and blank lines
-ignored. A comma-separated value turns a sweepable key (beta1, beta2,
-epsilon, batch_size, policy) into a sweep axis; the cross product of all
-axes is executed, bounded by sweep_cap. Example:
+ignored. Every field of RunConfig is a key, typed by its annotation, except
+two that are renamed: ``epochs`` sets num_epochs and ``epoch_start_probe``
+sets epoch_start_probe_epoch. The runner keys set the ExperimentSpec itself:
+name, out (output directory), sweep_cap, workers, window (epoch-metrics
+smoothing) and emit (a comma list drawn from csv and svg). A
+comma-separated value turns a sweepable key (beta1, beta2, epsilon,
+batch_size, policy) into a sweep axis; the cross product of all axes is
+executed, bounded by sweep_cap. Example:
 
     name = beta2_grid
     num_functions = 2000
@@ -15,12 +20,14 @@ axes is executed, bounded by sweep_cap. Example:
 
 from __future__ import annotations
 
+import types
 from dataclasses import dataclass, field, replace
 from itertools import product
+from typing import Union, get_args, get_origin, get_type_hints
 
 from .trainer import RunConfig
 
-__all__ = ["SpecError", "ExperimentSpec", "parse_spec", "load_spec"]
+__all__ = ["SpecError", "ExperimentSpec", "parse_spec", "load_spec", "read_settings"]
 
 
 class SpecError(ValueError):
@@ -35,34 +42,6 @@ class SpecError(ValueError):
 
 
 SWEEPABLE = ("beta1", "beta2", "epsilon", "batch_size", "policy")
-
-_FLOAT_KEYS = {
-    "lr",
-    "beta1",
-    "beta2",
-    "epsilon",
-    "weight_decay",
-    "x_init",
-    "divergence_ceiling",
-}
-_INT_KEYS = {
-    "num_functions",
-    "dim",
-    "epochs",
-    "seed",
-    "problem_seed",
-    "batch_size",
-    "tracked_batch",
-    "probe_stride",
-    "epoch_start_probe",
-    "window",
-    "sweep_cap",
-    "workers",
-}
-_BOOL_KEYS = {"probe", "bias_correction", "initial_shuffle"}
-_STR_KEYS = {"name", "optimizer", "policy", "out"}
-_LIST_KEYS = {"emit"}
-_ALL_KEYS = _FLOAT_KEYS | _INT_KEYS | _BOOL_KEYS | _STR_KEYS | _LIST_KEYS
 
 # spec key -> RunConfig field, where the names differ
 _CONFIG_RENAMES = {"epochs": "num_epochs", "epoch_start_probe": "epoch_start_probe_epoch"}
@@ -113,27 +92,49 @@ class ExperimentSpec:
         return points
 
 
+def _value_type(hint) -> type:
+    """A union's first member (int for ``int | None``); any other hint as it is."""
+    if get_origin(hint) in (Union, types.UnionType):
+        return get_args(hint)[0]
+    return hint
+
+
+# runner keys set the ExperimentSpec itself; every other key is a RunConfig field
+_RUNNER_TYPES = {
+    name: _value_type(hint)
+    for name, hint in get_type_hints(ExperimentSpec).items()
+    if name not in ("settings", "sweeps")
+}
+_SPEC_KEY = {name: key for key, name in _CONFIG_RENAMES.items()}
+_KEY_TYPES = {
+    _SPEC_KEY.get(name, name): _value_type(hint)
+    for name, hint in get_type_hints(RunConfig).items()
+} | _RUNNER_TYPES
+
+
 def _convert(key: str, raw: str, source: str, line: int):
     raw = raw.strip()
+    kind = _KEY_TYPES[key]
     try:
-        if key in _FLOAT_KEYS:
-            return float(raw)
-        if key in _INT_KEYS:
-            return int(raw)
-        if key in _BOOL_KEYS:
+        if kind is bool:
             lowered = raw.lower()
             if lowered in ("true", "yes", "1", "on"):
                 return True
             if lowered in ("false", "no", "0", "off"):
                 return False
             raise ValueError(f"not a boolean: {raw!r}")
-        return raw
+        return kind(raw)
     except ValueError as exc:
         raise SpecError(f"bad value for {key}: {exc}", source, line) from None
 
 
-def parse_spec(text: str, source: str = "spec") -> ExperimentSpec:
-    spec = ExperimentSpec()
+def read_settings(text: str, keys, source: str = "spec"):
+    """(line number, key, value) for every ``key = value`` line of text.
+
+    ``#`` starts a comment; blank lines are skipped. A line without ``=``, a
+    key outside keys, a repeated key or an empty value raises a SpecError
+    that names its line.
+    """
     seen: set[str] = set()
     for lineno, rawline in enumerate(text.splitlines(), start=1):
         stripped = rawline.split("#", 1)[0].strip()
@@ -144,14 +145,19 @@ def parse_spec(text: str, source: str = "spec") -> ExperimentSpec:
         key, _, value = stripped.partition("=")
         key = key.strip()
         value = value.strip()
-        if key not in _ALL_KEYS:
+        if key not in keys:
             raise SpecError(f"unknown key {key!r}", source, lineno)
         if key in seen:
             raise SpecError(f"duplicate key {key!r}", source, lineno)
         seen.add(key)
         if not value:
             raise SpecError(f"empty value for {key!r}", source, lineno)
+        yield lineno, key, value
 
+
+def parse_spec(text: str, source: str = "spec") -> ExperimentSpec:
+    spec = ExperimentSpec()
+    for lineno, key, value in read_settings(text, _KEY_TYPES, source):
         if key == "emit":
             targets = tuple(v.strip() for v in value.split(","))
             for t in targets:
@@ -163,18 +169,9 @@ def parse_spec(text: str, source: str = "spec") -> ExperimentSpec:
                     )
             spec.emit = targets
             continue
-        if key == "name":
-            spec.name = value
-            continue
-        if key == "out":
-            spec.out = value
-            continue
-        if key == "sweep_cap":
-            spec.sweep_cap = _convert(key, value, source, lineno)
-            continue
-        if key in ("workers", "window"):
+        if key in _RUNNER_TYPES:
             converted = _convert(key, value, source, lineno)
-            if converted < 1:
+            if key in ("workers", "window") and converted < 1:
                 raise SpecError(f"{key} must be >= 1", source, lineno)
             setattr(spec, key, converted)
             continue
@@ -191,9 +188,7 @@ def parse_spec(text: str, source: str = "spec") -> ExperimentSpec:
                 raise SpecError(f"sweep values for {key!r} repeat", source, lineno)
             spec.sweeps[key] = values
         else:
-            converted = _convert(key, value, source, lineno)
-            field_name = _CONFIG_RENAMES.get(key, key)
-            spec.settings[field_name] = converted
+            spec.settings[_CONFIG_RENAMES.get(key, key)] = _convert(key, value, source, lineno)
 
     # a swept key must not also be pinned
     for key in spec.sweeps:

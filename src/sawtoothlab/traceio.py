@@ -23,15 +23,15 @@ that is any probe cell that is not empty.
 
 from __future__ import annotations
 
-import csv
 import itertools
 import json
-from dataclasses import asdict, is_dataclass
+from dataclasses import asdict, fields, is_dataclass
+from typing import get_type_hints
 
 import numpy as np
 
 from .analysis import EspMetrics
-from .trainer import PROBE_COLUMNS, TRACE_COLUMNS, Trace
+from .trainer import PROBE_COLUMNS, TRACE_COLUMNS, TRACE_DTYPE, Trace
 
 __all__ = [
     "write_trace_csv",
@@ -41,10 +41,6 @@ __all__ = [
     "render_line_chart_svg",
 ]
 
-_INT_COLUMNS = ("epoch", "step", "global_step")
-_TRACE_DTYPE = np.dtype(
-    [(name, np.int64 if name in _INT_COLUMNS else np.float64) for name in TRACE_COLUMNS]
-)
 # rows rendered per write: about 0.3 MB of str objects, small enough that
 # writing a trace does not raise a run's peak memory (1,024 rows did, by
 # 0.7 MB on a B = 4 sweep point)
@@ -63,7 +59,7 @@ def write_trace_csv(trace: Trace, path) -> None:
             cells = []
             for name in TRACE_COLUMNS:
                 col = getattr(trace, name)[start : start + _WRITE_CHUNK_ROWS]
-                if name in _INT_COLUMNS:
+                if TRACE_DTYPE[name].kind == "i":
                     cells.append(map(str, col.astype(np.int64, copy=False).tolist()))
                     continue
                 text = list(map(repr, col.astype(np.float64, copy=False).tolist()))
@@ -86,7 +82,7 @@ def _filled_lines(fh):
 
 def read_trace_csv(path) -> Trace:
     """Read a trace written by write_trace_csv; malformed input raises ValueError."""
-    table = np.empty(0, dtype=_TRACE_DTYPE)
+    table = np.empty(0, dtype=TRACE_DTYPE)
     with open(path) as fh:
         header = fh.readline().rstrip("\n")
         if tuple(header.split(",")) != TRACE_COLUMNS:
@@ -97,7 +93,7 @@ def read_trace_csv(path) -> Trace:
             if first is not None:
                 table = np.loadtxt(
                     itertools.chain((first,), lines), delimiter=",",
-                    dtype=_TRACE_DTYPE, comments=None, ndmin=1,
+                    dtype=TRACE_DTYPE, comments=None, ndmin=1,
                 )
         except ValueError as exc:
             raise ValueError(f"{path}: {exc}") from None
@@ -107,33 +103,19 @@ def read_trace_csv(path) -> Trace:
 
 
 def write_epochs_csv(metrics: list[EspMetrics], path) -> None:
+    """One row per epoch: the EspMetrics fields in declaration order.
+
+    Floats are rendered with repr and everything else with str, byte for
+    byte what csv.writer emits for these rows.
+    """
+    hints = get_type_hints(EspMetrics)
+    render = {
+        f.name: _render_float if hints[f.name] is float else str for f in fields(EspMetrics)
+    }
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(
-            [
-                "epoch",
-                "loss_start",
-                "loss_end",
-                "rise",
-                "drop",
-                "amplitude",
-                "curvature",
-                "concavity_sign",
-            ]
-        )
+        fh.write(",".join(render) + "\r\n")
         for m in metrics:
-            writer.writerow(
-                [
-                    m.epoch,
-                    _render_float(m.loss_start),
-                    _render_float(m.loss_end),
-                    _render_float(m.rise),
-                    _render_float(m.drop),
-                    _render_float(m.amplitude),
-                    _render_float(m.curvature),
-                    m.concavity_sign,
-                ]
-            )
+            fh.write(",".join(fmt(getattr(m, name)) for name, fmt in render.items()) + "\r\n")
 
 
 def _plain(value):

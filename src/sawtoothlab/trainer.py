@@ -37,6 +37,7 @@ from .schedule import EpochSchedule, batches_per_epoch
 
 __all__ = [
     "TRACE_COLUMNS",
+    "TRACE_DTYPE",
     "Trace",
     "RunConfig",
     "ToyConfig",
@@ -64,6 +65,13 @@ TRACE_COLUMNS = (
     "dot_dtheta",
     "cum_dot",
 )
+# epoch, step and global_step count; every other column is a float
+TRACE_DTYPE = np.dtype(
+    [
+        (name, np.int64 if name in ("epoch", "step", "global_step") else np.float64)
+        for name in TRACE_COLUMNS
+    ]
+)
 
 # Columns that only carry values when probing is enabled.
 PROBE_COLUMNS = ("tracked_loss", "dot_g", "dot_m", "dot_dtheta", "cum_dot")
@@ -82,6 +90,17 @@ class Trace:
                 raise ValueError("trace columns must share one length")
             setattr(self, name, col)
         self.probes_enabled = probes_enabled
+
+    @classmethod
+    def empty(cls, rows: int, probes_enabled: bool) -> Trace:
+        """A trace of ``rows`` rows: counts unset, every float NaN."""
+        return cls(
+            {
+                name: np.empty(rows, dtype) if dtype.kind == "i" else np.full(rows, np.nan)
+                for name, (dtype, _) in TRACE_DTYPE.fields.items()
+            },
+            probes_enabled,
+        )
 
     def __len__(self) -> int:
         return len(self.epoch)
@@ -248,15 +267,7 @@ def run(config: RunConfig) -> RunResult:
     )
     bpe = batches_per_epoch(config.num_functions, config.batch_size)
 
-    total = bpe * config.num_epochs
-    cols = {
-        "epoch": np.empty(total, dtype=np.int64),
-        "step": np.empty(total, dtype=np.int64),
-        "global_step": np.empty(total, dtype=np.int64),
-    }
-    for name in TRACE_COLUMNS[3:]:
-        cols[name] = np.full(total, np.nan)
-
+    trace = Trace.empty(bpe * config.num_epochs, config.probe)
     row = 0
     diverged = False
     divergence_step = None
@@ -265,19 +276,6 @@ def run(config: RunConfig) -> RunResult:
     epoch_counts: list[int] = []
     ceiling = config.divergence_ceiling
 
-    # locals for the hot loop
-    col_epoch = cols["epoch"]
-    col_step = cols["step"]
-    col_global = cols["global_step"]
-    col_loss = cols["batch_loss"]
-    col_gn = cols["g_norm"]
-    col_mn = cols["m_norm"]
-    col_vn = cols["v_norm"]
-    col_tl = cols["tracked_loss"]
-    col_dg = cols["dot_g"]
-    col_dm = cols["dot_m"]
-    col_dd = cols["dot_dtheta"]
-    col_cd = cols["cum_dot"]
     m_arr, v_arr = state.m, state.v
     # the step gradient in dense form, which g_norm and dot_g read: it is
     # zero off the step's coords, so each step re-zeroes only the last ones
@@ -301,46 +299,37 @@ def run(config: RunConfig) -> RunResult:
             if math.isfinite(loss) and abs(loss) <= ceiling:
                 gbuf[coords] = vals
                 g_norm = _norm(gbuf, coords, vals)
-            if not math.isfinite(g_norm):
-                col_epoch[row] = epoch
-                col_step[row] = step
-                col_global[row] = row
-                col_loss[row] = loss
-                col_gn[row] = g_norm
-                col_mn[row] = math.sqrt(m_arr @ m_arr)
-                col_vn[row] = math.sqrt(v_arr @ v_arr)
-                loss_sum += loss
-                steps_done += 1
-                row += 1
-                diverged = True
-                divergence_step = row - 1
-                break
-
-            probed = config.probe and step % config.probe_stride == 0
+            # a diverged step is recorded, without a probe or an update, and ends the run
+            diverged = not math.isfinite(g_norm)
+            probed = not diverged and config.probe and step % config.probe_stride == 0
             if probed:
                 tracked_loss, t_coords, t_vals = batch_loss_grad(problem, tracked, theta)
                 dot_g = _dot(gbuf, t_coords, t_vals)
-            delta = step_fn(coords, vals).delta_theta
-            theta += delta
+            if not diverged:
+                delta = step_fn(coords, vals).delta_theta
+                theta += delta
 
-            col_epoch[row] = epoch
-            col_step[row] = step
-            col_global[row] = row
-            col_loss[row] = loss
-            col_gn[row] = g_norm
-            col_mn[row] = math.sqrt(m_arr @ m_arr)
-            col_vn[row] = math.sqrt(v_arr @ v_arr)
+            trace.epoch[row] = epoch
+            trace.step[row] = step
+            trace.global_step[row] = row
+            trace.batch_loss[row] = loss
+            trace.g_norm[row] = g_norm
+            trace.m_norm[row] = math.sqrt(m_arr @ m_arr)
+            trace.v_norm[row] = math.sqrt(v_arr @ v_arr)
             if probed:
                 dot_dtheta = _dot(delta, t_coords, t_vals)
                 cum_dot += dot_dtheta
-                col_tl[row] = tracked_loss
-                col_dg[row] = dot_g
-                col_dm[row] = _dot(m_arr, t_coords, t_vals)
-                col_dd[row] = dot_dtheta
-                col_cd[row] = cum_dot
+                trace.tracked_loss[row] = tracked_loss
+                trace.dot_g[row] = dot_g
+                trace.dot_m[row] = _dot(m_arr, t_coords, t_vals)
+                trace.dot_dtheta[row] = dot_dtheta
+                trace.cum_dot[row] = cum_dot
             loss_sum += loss
             steps_done += 1
             row += 1
+            if diverged:
+                divergence_step = row - 1
+                break
         if steps_done:
             epoch_sums.append(loss_sum)
             epoch_counts.append(steps_done)
@@ -348,7 +337,7 @@ def run(config: RunConfig) -> RunResult:
             break
 
     trace = Trace(
-        {name: cols[name][:row] for name in TRACE_COLUMNS},
+        {name: getattr(trace, name)[:row] for name in TRACE_COLUMNS},
         probes_enabled=config.probe,
     )
     epoch_mean_loss = np.array(
@@ -434,14 +423,7 @@ def run_toy(
     schedule = EpochSchedule(policy, num_samples=2, batch_size=1, seed=0)
     theta = np.array([float(theta0)])
     grads = np.array([[1.0], [-1.0]])
-    total = 2 * epochs
-    cols = {
-        "epoch": np.empty(total, dtype=np.int64),
-        "step": np.empty(total, dtype=np.int64),
-        "global_step": np.empty(total, dtype=np.int64),
-    }
-    for name in TRACE_COLUMNS[3:]:
-        cols[name] = np.full(total, np.nan)
+    trace = Trace.empty(2 * epochs, probes_enabled=False)
     row = 0
     epoch_means = []
     for epoch in range(1, epochs + 1):
@@ -451,17 +433,16 @@ def run_toy(
             i = int(batch.indices[0])
             loss = toy_losses(float(theta[0]))[i]
             theta += step_fn(grads[i]).delta_theta
-            cols["epoch"][row] = epoch
-            cols["step"][row] = step
-            cols["global_step"][row] = row
-            cols["batch_loss"][row] = loss
-            cols["g_norm"][row] = abs(grads[i, 0])
-            cols["m_norm"][row] = abs(state.m[0])
-            cols["v_norm"][row] = state.v[0]
+            trace.epoch[row] = epoch
+            trace.step[row] = step
+            trace.global_step[row] = row
+            trace.batch_loss[row] = loss
+            trace.g_norm[row] = abs(grads[i, 0])
+            trace.m_norm[row] = abs(state.m[0])
+            trace.v_norm[row] = state.v[0]
             losses_this_epoch.append(loss)
             row += 1
         epoch_means.append(float(np.mean(losses_this_epoch)))
-    trace = Trace({name: cols[name] for name in TRACE_COLUMNS}, probes_enabled=False)
     config = ToyConfig(
         sequencing=sequencing,
         momentum_beta1=momentum_beta1,

@@ -1,10 +1,11 @@
 """Row-loop reference implementations that the columnar code is checked against.
 
-These are the straightforward versions: the trace CSV reader and writer that
-go cell by cell through the csv module, and the update-alignment fit that
-solves every active set at every shift. The package's own versions must give
-the same bytes (writer), the same columns, dtypes and probe flag (reader) and
-the same coefficients, R^2 and residual norm (fit).
+These are the straightforward versions: the trace CSV reader and writer and
+the epoch-metrics CSV writer that go cell by cell through the csv module,
+and the update-alignment fit that solves every active set at every shift.
+The package's own versions must give the same bytes (writers), the same
+columns, dtypes and probe flag (reader) and the same coefficients, R^2 and
+residual norm (fit).
 """
 
 from __future__ import annotations
@@ -16,6 +17,7 @@ import numpy as np
 
 from sawtoothlab.analysis import (
     HYPERBOLIC_SHIFT_GRID,
+    EspMetrics,
     FitResult,
     _as_series,
     _check_beta,
@@ -74,6 +76,36 @@ def read_trace_csv(path) -> Trace:
                 if name in PROBE_COLUMNS:
                     any_probe = True
     return Trace(columns, probes_enabled=any_probe)
+
+
+def write_epochs_csv(metrics: list[EspMetrics], path) -> None:
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(
+            [
+                "epoch",
+                "loss_start",
+                "loss_end",
+                "rise",
+                "drop",
+                "amplitude",
+                "curvature",
+                "concavity_sign",
+            ]
+        )
+        for m in metrics:
+            writer.writerow(
+                [
+                    m.epoch,
+                    repr(float(m.loss_start)),
+                    repr(float(m.loss_end)),
+                    repr(float(m.rise)),
+                    repr(float(m.drop)),
+                    repr(float(m.amplitude)),
+                    repr(float(m.curvature)),
+                    m.concavity_sign,
+                ]
+            )
 
 
 def _constrained_lstsq(X: np.ndarray, y: np.ndarray, nonneg: np.ndarray) -> np.ndarray:

@@ -1,10 +1,19 @@
 """Command-line front end, exercised in-process through main()."""
 
+import re
+
 import numpy as np
 import pytest
 
+from sawtoothlab.analysis import (
+    DEMO_GRAD_SQUARED,
+    DEMO_MOMENTUM,
+    DEMO_SECOND_MOMENT_PREV,
+    DEMO_TRACKED_GRAD,
+)
 from sawtoothlab.cli import _resolve_spec_path, main
 from sawtoothlab.specfile import load_spec
+from sawtoothlab.traceio import read_trace_csv, render_line_chart_svg
 
 TINY_SPEC = """
 name = tiny
@@ -211,3 +220,89 @@ def test_overlap_command(capsys):
     ])
     assert rc == 0
     assert "monte carlo" in capsys.readouterr().out
+
+
+def test_toy_svg_matches_the_written_traces(tmp_path):
+    # toy.svg is drawn from the in-memory traces; the CSV round trip is
+    # exact, so it equals the chart drawn from the traces read back
+    out = tmp_path / "toy"
+    assert main(["toy", "--out", str(out), "--epochs", "12", "--svg"]) == 0
+    series = []
+    for label in ("fixed", "reversed", "reversed_momentum"):
+        trace = read_trace_csv(out / f"toy_{label}.csv")
+        series.append((label, np.arange(len(trace), dtype=float), trace.batch_loss))
+    render_line_chart_svg(
+        tmp_path / "reread.svg",
+        series,
+        title="two-batch sequencing demonstration",
+        x_label="step",
+        y_label="batch loss",
+    )
+    assert (out / "toy.svg").read_bytes() == (tmp_path / "reread.svg").read_bytes()
+
+
+def _demo_vector_text():
+    vectors = {
+        "grad": DEMO_TRACKED_GRAD,
+        "momentum": DEMO_MOMENTUM,
+        "second_moment_prev": DEMO_SECOND_MOMENT_PREV,
+        "grad_squared": DEMO_GRAD_SQUARED,
+    }
+    lines = ["# the built-in demonstration vectors"]
+    lines += [f"{key} = {', '.join(map(repr, values))}" for key, values in vectors.items()]
+    return "\n".join(lines) + "\n"
+
+
+def test_nshape_vector_file_of_the_demo_vectors_matches_the_builtin(tmp_path, capsys):
+    assert main(["nshape", "--out", str(tmp_path / "builtin")]) == 0
+    builtin = capsys.readouterr().out
+    vecs = tmp_path / "demo.txt"
+    vecs.write_text(_demo_vector_text())
+    assert main(["nshape", "--vectors", str(vecs), "--out", str(tmp_path / "file")]) == 0
+    assert capsys.readouterr().out == builtin
+    assert (tmp_path / "file" / "nshape.csv").read_bytes() == (
+        tmp_path / "builtin" / "nshape.csv"
+    ).read_bytes()
+
+
+@pytest.mark.parametrize(
+    "bad_line, message",
+    [
+        ("grad = 1, 2, 3", "duplicate key 'grad'"),
+        ("grad_squared =", "empty value for 'grad_squared'"),
+        ("grad_squared = 1, two, 3", "bad number in 'grad_squared'"),
+    ],
+)
+def test_nshape_vector_file_errors_name_their_line(tmp_path, capsys, bad_line, message):
+    text = _demo_vector_text().replace("grad_squared", "# grad_squared")
+    vecs = tmp_path / "bad.txt"
+    vecs.write_text(text + bad_line + "\n")
+    lineno = len(text.splitlines()) + 1
+    assert main(["nshape", "--vectors", str(vecs), "--out", str(tmp_path / "n")]) == 2
+    assert f"{vecs}:{lineno}: {message}" in capsys.readouterr().err
+
+
+def test_overlap_uses_the_short_last_batch(capsys):
+    # N = 10, B = 3: each epoch ends on a batch of r = 1 item, so r*B/N = 0.3
+    assert main(["overlap", "--num-samples", "10", "--batch-size", "3"]) == 0
+    assert "expected boundary overlap: 0.3\n" in capsys.readouterr().out
+
+
+def test_overlap_rejects_a_single_trial(capsys):
+    assert main(["overlap", "--num-samples", "200", "--batch-size", "20", "--mc", "1"]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: --mc")
+    assert "monte carlo" not in captured.out
+
+
+def test_overlap_reports_an_exact_match(capsys):
+    # B = N: every boundary shares all N items, so every trial counts N
+    assert main(["overlap", "--num-samples", "7", "--batch-size", "7", "--mc", "50"]) == 0
+    out = capsys.readouterr().out
+    assert "monte carlo (50 trials): 7 +/- 0 (exact match with expected)" in out
+    assert "inf" not in out
+    assert main(["overlap", "--num-samples", "200", "--batch-size", "20", "--mc", "2000"]) == 0
+    assert re.search(
+        r"monte carlo \(2000 trials\): \S+ \+/- \S+ \(\d+\.\d\d se from expected\)",
+        capsys.readouterr().out,
+    )

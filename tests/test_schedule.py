@@ -204,3 +204,30 @@ def test_shuffle_schedule_boundary_overlap_is_hypergeometric(n, b, epochs):
     counts = _shuffle_boundary_overlaps(n, b, epochs, seed=0)
     assert len(counts) == epochs - 1
     _assert_follows_hypergeometric(counts.mean(), counts.var(ddof=1), len(counts), n, b)
+
+
+@pytest.mark.parametrize("n, b, epochs", [(10, 3, 20000), (200, 30, 5000)])
+def test_overlap_with_a_short_last_batch_matches_real_boundaries(n, b, epochs):
+    # B does not divide N, so each epoch ends on a batch of r = N mod B
+    # items; the count at a boundary follows Hypergeometric(N, r, B)
+    r = n % b
+    total = math.comb(n, b)
+    ks = np.arange(0, r + 1)
+    pmf = np.array([math.comb(r, k) * math.comb(n - r, b - k) / total for k in ks])
+    law_mean = float(pmf @ ks)
+    law_var = float(pmf @ (ks - law_mean) ** 2)
+    assert law_mean == pytest.approx(r * b / n)
+    assert expected_overlap(n, b) == pytest.approx(law_mean, rel=1e-12)
+    counts = _shuffle_boundary_overlaps(n, b, epochs, seed=0)
+    assert abs(counts.mean() - law_mean) <= Z * math.sqrt(law_var / len(counts))
+    mean, se = boundary_overlap_mc(n, b, trials=epochs, seed=0)
+    assert abs(mean - law_mean) <= Z * math.sqrt(law_var / epochs)
+    assert se == pytest.approx(math.sqrt(law_var / epochs), rel=0.1)
+
+
+def test_overlap_mc_draws_are_unchanged_when_b_divides_n():
+    # one trial draws the tail and head batches, both of B items, from one
+    # generator; recorded before the tail size followed the last batch
+    assert boundary_overlap_mc(300, 10, 500, seed=3) == (0.314, 0.025614844143210434)
+    assert boundary_overlap_mc(200, 20, 2000, seed=5) == (2.014, 0.028342611944312982)
+    assert boundary_overlap_mc(7, 7, 5, seed=1) == (7.0, 0.0)

@@ -1,8 +1,16 @@
 """Key-value experiment specs: parsing, sweeps, and their guard rails."""
 
-import pytest
+import itertools
+import math
+from dataclasses import fields
 
-from sawtoothlab.specfile import SpecError, load_spec, parse_spec
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from sawtoothlab import specfile
+from sawtoothlab.specfile import SWEEPABLE, SpecError, load_spec, parse_spec
+from sawtoothlab.trainer import RunConfig
 
 BASE = """
 # comment line
@@ -145,3 +153,133 @@ def test_load_spec_reads_file(tmp_path):
     bad.write_text("nonsense = 1\n")
     with pytest.raises(SpecError, match=str(bad)):
         load_spec(bad)
+
+
+# The typed key sets the parser declared before it read the keys off the
+# RunConfig and ExperimentSpec annotations; the accepted keys and their
+# types must stay these.
+_KEYS_BY_TYPE = {
+    float: ("lr", "beta1", "beta2", "epsilon", "weight_decay", "x_init", "divergence_ceiling"),
+    int: (
+        "num_functions", "dim", "epochs", "seed", "problem_seed", "batch_size",
+        "tracked_batch", "probe_stride", "epoch_start_probe", "window", "sweep_cap",
+        "workers",
+    ),
+    bool: ("probe", "bias_correction", "initial_shuffle"),
+    str: ("name", "optimizer", "policy", "out"),
+}
+# (a value of the type, a value that is not) for each type
+_VALUES_BY_TYPE = {float: ("2.5", "fast"), int: ("2", "2.5"), bool: ("on", "2"), str: ("x y", None)}
+_RUNNER_KEYS = {"name", "out", "sweep_cap", "workers", "window", "emit"}
+_RENAMES = {"num_epochs": "epochs", "epoch_start_probe_epoch": "epoch_start_probe"}
+
+
+def _unknown(key: str) -> bool:
+    try:
+        parse_spec(f"{key} = 1\n")
+    except SpecError as exc:
+        return "unknown key" in str(exc)
+    return False
+
+
+def test_accepted_keys_are_the_config_fields_plus_the_runner_keys():
+    config_keys = {_RENAMES.get(f.name, f.name) for f in fields(RunConfig)}
+    assert config_keys.isdisjoint(_RUNNER_KEYS)
+    expected = config_keys | _RUNNER_KEYS
+    assert len(expected) == 27
+    assert expected == {k for keys in _KEYS_BY_TYPE.values() for k in keys} | {"emit"}
+    candidates = expected | set(_RENAMES) | {"settings", "sweeps", "learningrate"}
+    assert {key for key in candidates if not _unknown(key)} == expected
+
+
+@pytest.mark.parametrize(
+    "key, kind", [(key, kind) for kind, keys in _KEYS_BY_TYPE.items() for key in keys]
+)
+def test_each_key_keeps_its_type(key, kind):
+    good, bad = _VALUES_BY_TYPE[kind]
+    value = specfile._convert(key, good, "spec", 1)
+    assert type(value) is kind
+    if bad is not None:
+        with pytest.raises(SpecError, match=rf"spec:1: bad value for {key}"):
+            specfile._convert(key, bad, "spec", 1)
+
+
+# sweep values valid at every combination with BASE (100 functions, tracked batch 0)
+_AXIS_VALUES = {
+    "beta1": (0.0, 0.5, 0.9, 0.95),
+    "beta2": (0.9, 0.99, 0.999),
+    "epsilon": (1e-8, 1e-5, 1e-3),
+    "batch_size": (1, 2, 4, 10),
+    "policy": ("shuffle", "fixed", "reverse", "replacement"),
+}
+
+
+@st.composite
+def _sweeps(draw):
+    keys = draw(st.lists(st.sampled_from(SWEEPABLE), unique=True, max_size=len(SWEEPABLE)))
+    return {
+        key: draw(st.lists(st.sampled_from(_AXIS_VALUES[key]), unique=True, min_size=1))
+        for key in keys
+    }
+
+
+def _sweep_text(sweeps: dict) -> str:
+    return "".join(f"{key} = {', '.join(map(str, values))}\n" for key, values in sweeps.items())
+
+
+@settings(max_examples=60, deadline=None)
+@given(_sweeps())
+def test_num_points_is_the_product_of_the_axes(sweeps):
+    product = math.prod(len(values) for values in sweeps.values())
+    spec = parse_spec(BASE + _sweep_text(sweeps) + f"sweep_cap = {product}\n")
+    assert spec.num_points() == product
+    points = spec.expand()
+    assert len(points) == product
+    assert len({label for label, _ in points}) == product
+    # every combination appears once, and the first axis varies slowest
+    combos = [tuple(getattr(cfg, key) for key in sweeps) for _, cfg in points]
+    assert combos == list(itertools.product(*sweeps.values()))
+
+
+@settings(max_examples=40, deadline=None)
+@given(_sweeps().filter(lambda s: math.prod(len(v) for v in s.values()) > 1))
+def test_going_above_the_sweep_cap_raises(sweeps):
+    product = math.prod(len(values) for values in sweeps.values())
+    with pytest.raises(SpecError, match=f"sweep has {product} points, above the cap"):
+        parse_spec(BASE + _sweep_text(sweeps) + f"sweep_cap = {product - 1}\n")
+
+
+# one bad line each, and the message it must raise
+_BAD_LINES = (
+    ("just words", "expected 'key = value'"),
+    ("learningrate = 0.1", "unknown key"),
+    ("dim = 60", "duplicate key"),
+    ("lr =", "empty value"),
+    ("seed = 3.5", "bad value for seed"),
+    ("probe = maybe", "not a boolean"),
+    ("lr = 0.01, 0.02", "cannot be swept"),
+    ("beta2 = 0.9, 0.9", "repeat"),
+    ("emit = csv, png", "emit must be drawn from"),
+    ("workers = 0", "workers must be >= 1"),
+    ("window = -3", "window must be >= 1"),
+    ("sweep_cap = many", "bad value for sweep_cap"),
+)
+_FILLER = ("", "# a comment", "   ", "problem_seed = 4  # trailing comment", "probe_stride = 2")
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    st.sampled_from(_BAD_LINES),
+    st.lists(st.sampled_from(_FILLER), max_size=4),
+    st.lists(st.sampled_from(_FILLER[:3]), max_size=4),
+)
+def test_every_line_error_names_its_line(bad, before, after):
+    # filler keys appear at most once before the bad line, as a duplicate
+    # filler would raise first
+    before = list(dict.fromkeys(before))
+    line, message = bad
+    lines = BASE.splitlines() + before + [line] + after
+    with pytest.raises(SpecError) as info:
+        parse_spec("\n".join(lines) + "\n", source="grid.spec")
+    assert message in str(info.value)
+    assert str(info.value).startswith(f"grid.spec:{len(BASE.splitlines()) + len(before) + 1}: ")

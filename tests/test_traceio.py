@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import reference_impl
-from sawtoothlab.analysis import esp_metrics
+from sawtoothlab.analysis import EspMetrics, esp_metrics
 from sawtoothlab.trainer import PROBE_COLUMNS, TRACE_COLUMNS, RunConfig, Trace, run, run_toy
 from sawtoothlab.traceio import (
     read_trace_csv,
@@ -216,6 +216,36 @@ def test_epochs_csv(small_result, tmp_path):
     assert float(first[3]) == metrics[0].rise
     # the last epoch has no successor; its drop is written as nan
     assert "nan" in lines[-1]
+
+
+_METRICS = st.builds(
+    EspMetrics,
+    epoch=st.integers(0, 10**6),
+    loss_start=_FLOATS,
+    loss_end=_FLOATS,
+    rise=_FLOATS,
+    drop=_FLOATS,
+    amplitude=_FLOATS,
+    curvature=_FLOATS,
+    concavity_sign=st.sampled_from((-1, 0, 1)),
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(_METRICS, max_size=6))
+def test_epochs_csv_matches_reference(metrics):
+    with tempfile.TemporaryDirectory() as tmp:
+        written, expected = Path(tmp) / "new.csv", Path(tmp) / "reference.csv"
+        write_epochs_csv(metrics, written)
+        reference_impl.write_epochs_csv(metrics, expected)
+        assert written.read_bytes() == expected.read_bytes()
+
+
+def test_run_epochs_csv_matches_reference(small_result, tmp_path):
+    metrics = esp_metrics(small_result.trace, window=3)
+    write_epochs_csv(metrics, tmp_path / "new.csv")
+    reference_impl.write_epochs_csv(metrics, tmp_path / "reference.csv")
+    assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "reference.csv").read_bytes()
 
 
 def test_meta_json_stable_and_plain(tmp_path):

@@ -19,6 +19,7 @@ from sawtoothlab.problem import batch_grad, batch_loss, generate_quadratic, spar
 from sawtoothlab.schedule import POLICIES, EpochSchedule, batches_per_epoch
 from sawtoothlab.traceio import write_trace_csv
 from sawtoothlab.trainer import (
+    PROBE_COLUMNS,
     TRACE_COLUMNS,
     RunConfig,
     Trace,
@@ -248,6 +249,25 @@ def test_runaway_run_is_cut_short():
     assert res.divergence_step is not None
     assert len(res.trace) == res.divergence_step + 1
     assert len(res.trace) < 3 * 50
+
+
+def test_diverged_step_is_recorded_unprobed_and_without_an_update():
+    cfg = RunConfig(
+        optimizer="sgd", lr=1000.0, num_functions=50, dim=10, problem_seed=1,
+        seed=1, num_epochs=3, tracked_batch=0,
+    )
+    res = run(cfg)
+    trace = res.trace
+    assert res.diverged and len(trace) >= 2
+    assert not abs(trace.batch_loss[-1]) <= cfg.divergence_ceiling
+    assert np.isnan(trace.g_norm[-1])
+    # the optimizer state is the previous step's: no update was applied
+    assert trace.m_norm[-1] == trace.m_norm[-2]
+    assert trace.v_norm[-1] == trace.v_norm[-2]
+    assert trace.global_step[-1] == res.divergence_step
+    for name in PROBE_COLUMNS:
+        assert not np.isnan(getattr(trace, name)[-2])
+        assert np.isnan(getattr(trace, name)[-1])
 
 
 def test_small_default_run_completes():
