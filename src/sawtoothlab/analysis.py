@@ -45,6 +45,7 @@ __all__ = [
     "evaluate_fit",
     "predict_loss_curve",
     "esp_metrics",
+    "default_window",
     "window_average",
     "nshape_delta",
     "nshape_sweep",
@@ -408,47 +409,37 @@ def window_average(y: np.ndarray, window: int) -> np.ndarray:
     return np.convolve(y, kernel, mode="valid")
 
 
+def default_window(epoch_len: int) -> int:
+    """The epoch-metrics smoothing window: 5 percent of an epoch, at least 1."""
+    return max(1, round(0.05 * epoch_len))
+
+
 def esp_metrics(trace, window: int | None = None) -> list[EspMetrics]:
     """Per-epoch sawtooth metrics from a trace.
 
     The start and end levels of an epoch are the mean batch loss over its
-    first and last ``window`` steps; the default window is 5 percent of the
-    epoch length (at least 1). Epochs shorter than two windows are skipped
+    first and last ``window`` steps; the default window is default_window of
+    the epoch's length. Epochs shorter than two windows are skipped
     with a notice. Curvature is the quadratic coefficient of a degree-2
     polynomial fit to the window-averaged intra-epoch loss.
     """
     epochs = np.asarray(trace.epoch)
     losses = np.asarray(trace.batch_loss, dtype=float)
-    if len(epochs) == 0:
-        return []
     out: list[EspMetrics] = []
-    labels = np.unique(epochs)
-    starts: dict[int, float] = {}
-    pieces: dict[int, np.ndarray] = {}
-    for e in labels:
-        pieces[int(e)] = losses[epochs == e]
-    for e in labels:
-        y = pieces[int(e)]
-        w = window if window is not None else max(1, round(0.05 * len(y)))
+    for e in np.unique(epochs).tolist():
+        y = losses[epochs == e]
+        w = window if window is not None else default_window(len(y))
         if len(y) < 2 * w:
             logger.warning("epoch %d has %d steps, shorter than two windows; skipped", e, len(y))
             continue
-        starts[int(e)] = float(np.mean(y[:w]))
-    for e in labels:
-        e = int(e)
-        if e not in starts:
-            continue
-        y = pieces[e]
-        w = window if window is not None else max(1, round(0.05 * len(y)))
-        loss_start = starts[e]
+        loss_start = float(np.mean(y[:w]))
+        if out and out[-1].epoch == e - 1:
+            # this start closes the previous epoch's boundary
+            prev = out[-1]
+            prev.drop = prev.loss_end - loss_start
+            prev.amplitude = prev.drop / max(abs(prev.loss_end), 1e-12)
         loss_end = float(np.mean(y[-w:]))
         rise = loss_end - loss_start
-        if e + 1 in starts:
-            drop = loss_end - starts[e + 1]
-            amplitude = drop / max(abs(loss_end), 1e-12)
-        else:
-            drop = float("nan")
-            amplitude = float("nan")
         averaged = window_average(y, w)
         x = np.arange(len(averaged), dtype=float)
         if len(averaged) >= 3:
@@ -461,8 +452,8 @@ def esp_metrics(trace, window: int | None = None) -> list[EspMetrics]:
                 loss_start=loss_start,
                 loss_end=loss_end,
                 rise=rise,
-                drop=drop,
-                amplitude=amplitude,
+                drop=float("nan"),
+                amplitude=float("nan"),
                 curvature=curvature,
                 concavity_sign=int(np.sign(curvature)),
             )

@@ -32,6 +32,7 @@ from .analysis import (
     DEMO_SECOND_MOMENT_PREV,
     DEMO_TRACKED_GRAD,
     TRACE_MODELS,
+    default_window,
     esp_metrics,
     evaluate_fit,
     fit_model,
@@ -39,7 +40,7 @@ from .analysis import (
     nshape_sweep,
     window_average,
 )
-from .schedule import boundary_overlap_mc, expected_overlap
+from .schedule import batches_per_epoch, boundary_overlap_mc, expected_overlap
 from .specfile import SpecError, load_spec, read_settings
 from .traceio import (
     read_trace_csv,
@@ -97,7 +98,7 @@ def _execute_point(job: tuple) -> dict:
     write_meta_json(meta, point_dir / "meta.json")
     if "svg" in emit:
         t = result.trace
-        w = window if window else max(1, round(0.05 * max(1, len(t) // config.num_epochs)))
+        w = window or default_window(batches_per_epoch(config.num_functions, config.batch_size))
         averaged = window_average(t.batch_loss, min(w, len(t)))
         x_avg = np.arange(len(averaged), dtype=float)
         render_line_chart_svg(
@@ -409,9 +410,6 @@ def main(argv=None) -> int:
     except SpecError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except FileNotFoundError as exc:
-        print(f"io error: {exc}", file=sys.stderr)
-        return 3
     except OSError as exc:
         print(f"io error: {exc}", file=sys.stderr)
         return 3

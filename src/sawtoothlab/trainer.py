@@ -29,11 +29,12 @@ from .optim import (
 from .problem import (
     Batch,
     QuadraticProblem,
+    batch_loss,
     batch_loss_grad,
     generate_quadratic,
     toy_losses,
 )
-from .schedule import EpochSchedule, batches_per_epoch
+from .schedule import POLICIES, EpochSchedule, batches_per_epoch
 
 __all__ = [
     "TRACE_COLUMNS",
@@ -92,15 +93,21 @@ class Trace:
         self.probes_enabled = probes_enabled
 
     @classmethod
-    def empty(cls, rows: int, probes_enabled: bool) -> Trace:
-        """A trace of ``rows`` rows: counts unset, every float NaN."""
-        return cls(
-            {
-                name: np.empty(rows, dtype) if dtype.kind == "i" else np.full(rows, np.nan)
-                for name, (dtype, _) in TRACE_DTYPE.fields.items()
-            },
-            probes_enabled,
-        )
+    def empty(cls, num_epochs: int, epoch_len: int, probes_enabled: bool) -> Trace:
+        """A trace of num_epochs epochs of epoch_len steps, every float NaN.
+
+        The count columns come from that epoch layout, so a step loop writes
+        only the values it measures; run() cuts a diverged trace short. Each
+        epoch's epoch_mean_loss is then summed from the trace in step order.
+        """
+        rows = num_epochs * epoch_len
+        counts = {
+            "epoch": np.repeat(np.arange(1, num_epochs + 1), epoch_len),
+            "step": np.tile(np.arange(epoch_len), num_epochs),
+            "global_step": np.arange(rows),
+        }
+        floats = {name: np.full(rows, np.nan) for name in TRACE_COLUMNS if name not in counts}
+        return cls(counts | floats, probes_enabled)
 
     def __len__(self) -> int:
         return len(self.epoch)
@@ -140,8 +147,20 @@ class RunConfig:
     def __post_init__(self) -> None:
         if self.optimizer not in ("adam", "rmsprop", "sgd"):
             raise ValueError(f"unknown optimizer {self.optimizer!r}")
+        if self.policy not in POLICIES:
+            raise ValueError(f"unknown policy {self.policy!r}, expected one of {POLICIES}")
+        if self.dim < 1:
+            raise ValueError(f"dim must be >= 1, got {self.dim}")
         if self.num_epochs < 1:
             raise ValueError("num_epochs must be >= 1")
+        if self.epoch_start_probe_epoch is not None and not (
+            1 <= self.epoch_start_probe_epoch <= self.num_epochs
+        ):
+            # an epoch the run never reaches would be recorded and never probed
+            raise ValueError(
+                f"epoch_start_probe_epoch must lie in [1, {self.num_epochs}], "
+                f"got {self.epoch_start_probe_epoch}"
+            )
         if self.probe_stride < 1:
             raise ValueError("probe_stride must be >= 1")
         if self.divergence_ceiling <= 0:
@@ -267,13 +286,10 @@ def run(config: RunConfig) -> RunResult:
     )
     bpe = batches_per_epoch(config.num_functions, config.batch_size)
 
-    trace = Trace.empty(bpe * config.num_epochs, config.probe)
+    trace = Trace.empty(config.num_epochs, bpe, config.probe)
     row = 0
     diverged = False
-    divergence_step = None
     epoch_start_losses = None
-    epoch_sums: list[float] = []
-    epoch_counts: list[int] = []
     ceiling = config.divergence_ceiling
 
     m_arr, v_arr = state.m, state.v
@@ -289,8 +305,6 @@ def run(config: RunConfig) -> RunResult:
         if epoch == config.epoch_start_probe_epoch:
             epoch_start_losses = probe_epoch_start_losses(problem, schedule, theta)
         cum_dot = 0.0
-        loss_sum = 0.0
-        steps_done = 0
         for step in range(bpe):
             batch = schedule.next_batch()
             gbuf[coords] = 0.0
@@ -309,9 +323,6 @@ def run(config: RunConfig) -> RunResult:
                 delta = step_fn(coords, vals).delta_theta
                 theta += delta
 
-            trace.epoch[row] = epoch
-            trace.step[row] = step
-            trace.global_step[row] = row
             trace.batch_loss[row] = loss
             trace.g_norm[row] = g_norm
             trace.m_norm[row] = math.sqrt(m_arr @ m_arr)
@@ -324,15 +335,9 @@ def run(config: RunConfig) -> RunResult:
                 trace.dot_m[row] = _dot(m_arr, t_coords, t_vals)
                 trace.dot_dtheta[row] = dot_dtheta
                 trace.cum_dot[row] = cum_dot
-            loss_sum += loss
-            steps_done += 1
             row += 1
             if diverged:
-                divergence_step = row - 1
                 break
-        if steps_done:
-            epoch_sums.append(loss_sum)
-            epoch_counts.append(steps_done)
         if diverged:
             break
 
@@ -340,15 +345,12 @@ def run(config: RunConfig) -> RunResult:
         {name: getattr(trace, name)[:row] for name in TRACE_COLUMNS},
         probes_enabled=config.probe,
     )
-    epoch_mean_loss = np.array(
-        [s / c for s, c in zip(epoch_sums, epoch_counts)], dtype=float
-    )
     return RunResult(
         config=config,
         trace=trace,
         diverged=diverged,
-        divergence_step=divergence_step,
-        epoch_mean_loss=epoch_mean_loss,
+        divergence_step=row - 1 if diverged else None,
+        epoch_mean_loss=_epoch_mean_loss(trace),
         epoch_start_losses=epoch_start_losses,
         epoch_start_probe_epoch=config.epoch_start_probe_epoch
         if epoch_start_losses is not None
@@ -364,13 +366,18 @@ def probe_epoch_start_losses(
     At an epoch boundary this samples the distribution whose spread shrinks
     like sigma^2/B with the batch size.
     """
-    batches = schedule.peek_epoch_batches()
-    idx = np.concatenate([b.indices for b in batches])
-    xj = theta[problem.dim_index[idx]]
-    vals = problem.a[idx] * (xj - problem.b[idx]) ** 2 + problem.c[idx]
-    sizes = np.array([len(b_) for b_ in batches])
-    starts = np.concatenate([[0], np.cumsum(sizes)[:-1]])
-    return np.add.reduceat(vals, starts) / sizes
+    return np.array([batch_loss(problem, b, theta) for b in schedule.peek_epoch_batches()])
+
+
+def _epoch_mean_loss(trace: Trace) -> np.ndarray:
+    """Mean batch loss of each epoch the trace reaches, summed in step order.
+
+    Each epoch starts at step 0. cumsum adds left to right as a running sum
+    would; np.sum and np.mean add pairwise, which moves the last bits of
+    the pinned meta.json means.
+    """
+    ends = np.flatnonzero(trace.step == 0)[1:]
+    return np.array([np.cumsum(seg)[-1] / len(seg) for seg in np.split(trace.batch_loss, ends)])
 
 
 # Starting point for the documented toy configuration, slightly off the
@@ -423,26 +430,14 @@ def run_toy(
     schedule = EpochSchedule(policy, num_samples=2, batch_size=1, seed=0)
     theta = np.array([float(theta0)])
     grads = np.array([[1.0], [-1.0]])
-    trace = Trace.empty(2 * epochs, probes_enabled=False)
-    row = 0
-    epoch_means = []
-    for epoch in range(1, epochs + 1):
-        losses_this_epoch = []
-        for step in range(2):
-            batch = schedule.next_batch()
-            i = int(batch.indices[0])
-            loss = toy_losses(float(theta[0]))[i]
-            theta += step_fn(grads[i]).delta_theta
-            trace.epoch[row] = epoch
-            trace.step[row] = step
-            trace.global_step[row] = row
-            trace.batch_loss[row] = loss
-            trace.g_norm[row] = abs(grads[i, 0])
-            trace.m_norm[row] = abs(state.m[0])
-            trace.v_norm[row] = state.v[0]
-            losses_this_epoch.append(loss)
-            row += 1
-        epoch_means.append(float(np.mean(losses_this_epoch)))
+    trace = Trace.empty(epochs, 2, probes_enabled=False)
+    for row in range(len(trace)):
+        i = int(schedule.next_batch().indices[0])
+        trace.batch_loss[row] = toy_losses(float(theta[0]))[i]
+        theta += step_fn(grads[i]).delta_theta
+        trace.g_norm[row] = abs(grads[i, 0])
+        trace.m_norm[row] = abs(state.m[0])
+        trace.v_norm[row] = state.v[0]
     config = ToyConfig(
         sequencing=sequencing,
         momentum_beta1=momentum_beta1,
@@ -455,7 +450,7 @@ def run_toy(
         trace=trace,
         diverged=False,
         divergence_step=None,
-        epoch_mean_loss=np.array(epoch_means),
+        epoch_mean_loss=_epoch_mean_loss(trace),
     )
 
 

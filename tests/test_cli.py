@@ -97,6 +97,33 @@ def test_run_rejects_bad_sweep_point_before_any_point_runs(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_run_rejects_unknown_policy_before_any_point_runs(tmp_path, capsys):
+    # point 0 is a valid shuffle run; point 1 used to fail only after point 0
+    # had run to the end, leaving an empty point directory behind
+    spec = tmp_path / "sweep.spec"
+    spec.write_text(
+        "num_functions = 50\ndim = 10\ntracked_batch = 2\npolicy = shuffle, bogus\n"
+    )
+    out = tmp_path / "out"
+    assert main(["run", str(spec), "--out", str(out)]) == 2
+    assert "unknown policy 'bogus'" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_loss_svg_window_follows_the_schedule_epoch(tmp_path):
+    # the run diverges at step 30 of its first 50-step epoch; the svg's
+    # default window is 5 percent of 50, not of the 30 recorded steps / 3
+    spec = tmp_path / "diverging.spec"
+    spec.write_text(
+        "optimizer = sgd\nlr = 10.0\nnum_functions = 50\ndim = 10\nproblem_seed = 1\n"
+        "seed = 1\nepochs = 3\nprobe = false\nemit = svg\n"
+    )
+    out = tmp_path / "out"
+    assert main(["run", str(spec), "--out", str(out)]) == 0
+    assert '"diverged": true' in (out / "meta.json").read_text()
+    assert "window mean (w=2)" in (out / "loss.svg").read_text()
+
+
 def test_bundled_specs_resolve_and_parse():
     ref = load_spec(_resolve_spec_path("shuffle_reference"))
     assert ref.num_points() == 1

@@ -129,6 +129,16 @@ def test_invalid_config_surfaces_as_spec_error():
     for optimizer in ("rmsprop", "sgd"):
         with pytest.raises(SpecError, match="weight_decay applies to adam only"):
             parse_spec(BASE + f"optimizer = {optimizer}\nweight_decay = 0.1\n")
+    # a bad policy or dim used to fail only when its point ran
+    with pytest.raises(SpecError, match="unknown policy 'bogus'"):
+        parse_spec(BASE + "policy = shuffle, bogus\n")
+    with pytest.raises(SpecError, match="dim must be >= 1"):
+        parse_spec(BASE.replace("dim = 50", "dim = 0"))
+    # BASE runs 2 epochs, so only epochs 1 and 2 can be probed
+    for epoch in (0, 3, 99):
+        with pytest.raises(SpecError, match="epoch_start_probe_epoch must lie in"):
+            parse_spec(BASE + f"epoch_start_probe = {epoch}\n")
+    parse_spec(BASE + "epoch_start_probe = 2\n")
 
 
 def test_runner_settings():

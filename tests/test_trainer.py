@@ -288,6 +288,35 @@ def test_epoch_mean_loss_matches_trace():
     assert res.final_mean_loss == res.epoch_mean_loss[-1]
 
 
+def _step_order_means(trace):
+    sums, counts = {}, {}
+    for epoch, loss in zip(trace.epoch.tolist(), trace.batch_loss.tolist()):
+        sums[epoch] = sums.get(epoch, 0.0) + loss
+        counts[epoch] = counts.get(epoch, 0) + 1
+    return np.array([sums[e] / counts[e] for e in sorted(sums)])
+
+
+@pytest.mark.parametrize(
+    "overrides",
+    [
+        {},
+        # 60 = 8 * 7 + 4, so every epoch ends in a short batch
+        {"batch_size": 7},
+        # diverges 32 steps into epoch 3
+        {"optimizer": "sgd", "lr": 3.0, "num_functions": 50, "dim": 10,
+         "problem_seed": 1, "seed": 1, "probe": False},
+    ],
+    ids=["small", "short_last_batch", "diverged"],
+)
+def test_epoch_mean_loss_is_the_step_order_sum(overrides):
+    # meta.json pins these bytes, which a pairwise sum (np.sum, np.mean) moves
+    res = run(RunConfig(**{**SMALL, **overrides}))
+    assert res.diverged == ("lr" in overrides)
+    if res.diverged:
+        assert len(res.epoch_mean_loss) == 3 and len(res.trace) % 50 != 0
+    np.testing.assert_array_equal(res.epoch_mean_loss, _step_order_means(res.trace))
+
+
 def test_tracked_batch_invariants(reduced_run):
     trace = reduced_run.result.trace
     bstar = reduced_run.result.config.tracked_batch
@@ -376,6 +405,12 @@ def test_config_validation():
         # only adam_step applies weight decay
         {"optimizer": "rmsprop", "weight_decay": 0.1},
         {"optimizer": "sgd", "weight_decay": 0.1},
+        # run() would fail on these only once the run starts
+        {"policy": "bogus"},
+        {"dim": 0},
+        # an epoch the run never reaches would be recorded and never probed
+        {"epoch_start_probe_epoch": 0},
+        {"epoch_start_probe_epoch": 4},
     ):
         with pytest.raises(ValueError):
             RunConfig(**{**SMALL, **bad})
@@ -404,6 +439,18 @@ def test_epoch_start_probe_capture():
     # batch 0 is evaluated at the same theta by the probe and the trace
     assert losses[0] == res.trace.batch_loss[0]
     assert run(RunConfig(**SMALL)).epoch_start_losses is None
+
+
+@pytest.mark.parametrize("batch_size", [1, 3, 8])
+def test_epoch_start_losses_are_batch_losses(batch_size):
+    problem = generate_quadratic(7, 500, 40)
+    theta = np.random.default_rng(2).normal(size=40)
+    sched = EpochSchedule("shuffle", 500, batch_size, seed=3)
+    losses = probe_epoch_start_losses(problem, sched, theta)
+    batches = sched.peek_epoch_batches()
+    assert len(losses) == len(batches)
+    for k, batch in enumerate(batches):
+        assert losses[k] == batch_loss(problem, batch, theta)
 
 
 def test_epoch_start_spread_shrinks_with_batch_size():
@@ -454,6 +501,22 @@ def test_toy_adaptive_branch_amplifies_boundary():
     amp = oscillation_amplitude(trace)
     assert amp > oscillation_amplitude(run_toy("reversed", 0.0).trace)
     assert amp == pytest.approx(0.280966, abs=1e-5)
+
+
+# SHA-256 of write_trace_csv's bytes for the three cmd_toy cases, recorded
+# while run_toy still wrote its epoch, step and global_step cells one by one.
+TOY_DIGESTS = {
+    ("fixed", 0.0): "9fcf9244c94fae499032e58fa8bbfccc5c73cd2a910160adfdab1a30bba609fa",
+    ("reversed", 0.0): "056f32acc2b8746f645834c0ad5cdf99a0e9020e835238aba61041302b3720d4",
+    ("reversed", 0.9): "d2abc5d5d341b3d1e789a592971fe5050fbcd20aa642d8d7b1c1d40a5378a10e",
+}
+
+
+@pytest.mark.parametrize("case", list(TOY_DIGESTS), ids=lambda c: f"{c[0]}_{c[1]}")
+def test_toy_trace_bytes_match_recorded_digests(case, tmp_path):
+    path = tmp_path / "toy.csv"
+    write_trace_csv(run_toy(*case).trace, path)
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == TOY_DIGESTS[case]
 
 
 def test_toy_validation():
