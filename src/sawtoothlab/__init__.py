@@ -27,8 +27,6 @@ from .optim import (
     AdamConfig,
     NonFiniteGradientError,
     OptimizerState,
-    StepWorkspace,
-    UpdateResult,
     adam_step,
     rmsprop_step,
     sgd_momentum_step,
@@ -64,8 +62,6 @@ __all__ = [
     "__version__",
     "AdamConfig",
     "OptimizerState",
-    "StepWorkspace",
-    "UpdateResult",
     "NonFiniteGradientError",
     "adam_step",
     "rmsprop_step",

@@ -419,16 +419,18 @@ def esp_metrics(trace, window: int | None = None) -> list[EspMetrics]:
 
     The start and end levels of an epoch are the mean batch loss over its
     first and last ``window`` steps; the default window is default_window of
-    the epoch's length. Epochs shorter than two windows are skipped
-    with a notice. Curvature is the quadratic coefficient of a degree-2
-    polynomial fit to the window-averaged intra-epoch loss.
+    the trace's longest epoch, one window for every epoch, so a diverged
+    run's partial epoch is scored like its full ones. Epochs shorter than
+    two windows are skipped with a notice. Curvature is the quadratic
+    coefficient of a degree-2 polynomial fit to the window-averaged
+    intra-epoch loss.
     """
     epochs = np.asarray(trace.epoch)
     losses = np.asarray(trace.batch_loss, dtype=float)
+    w = window if window is not None else default_window(int(np.bincount(epochs).max(initial=0)))
     out: list[EspMetrics] = []
     for e in np.unique(epochs).tolist():
         y = losses[epochs == e]
-        w = window if window is not None else default_window(len(y))
         if len(y) < 2 * w:
             logger.warning("epoch %d has %d steps, shorter than two windows; skipped", e, len(y))
             continue

@@ -79,7 +79,9 @@ def _execute_point(job: tuple) -> dict:
     point_dir = Path(point_dir)
     point_dir.mkdir(parents=True, exist_ok=True)
     result = run_training(config)
-    metrics = esp_metrics(result.trace, window=window)
+    # one window from the schedule's epoch, for the metrics and the svg alike
+    w = window or default_window(batches_per_epoch(config.num_functions, config.batch_size))
+    metrics = esp_metrics(result.trace, window=w)
     if "csv" in emit:
         write_trace_csv(result.trace, point_dir / "trace.csv")
         write_epochs_csv(metrics, point_dir / "epochs.csv")
@@ -98,7 +100,6 @@ def _execute_point(job: tuple) -> dict:
     write_meta_json(meta, point_dir / "meta.json")
     if "svg" in emit:
         t = result.trace
-        w = window or default_window(batches_per_epoch(config.num_functions, config.batch_size))
         averaged = window_average(t.batch_loss, min(w, len(t)))
         x_avg = np.arange(len(averaged), dtype=float)
         render_line_chart_svg(

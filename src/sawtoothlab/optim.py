@@ -25,8 +25,12 @@ the coordinates the gradient can be nonzero on (one int, or an array of
 unique ints) and ``grad`` its values there; the moment updates then touch
 only those coordinates, the values are not checked (a caller in a hot loop
 checks them once, at its own cost), and the result matches the dense form
-on the scattered gradient value for value. A ``StepWorkspace`` makes a step
-write into caller-owned buffers instead of allocating its delta.
+on the scattered gradient value for value.
+
+Every stepper writes its delta into a dense buffer the state owns and
+returns that array, valid until the state's next step; a caller that needs
+it longer copies it. Off the periodic flush, a sparse step without weight
+decay thus allocates no dense array.
 """
 
 from __future__ import annotations
@@ -38,8 +42,6 @@ import numpy as np
 __all__ = [
     "AdamConfig",
     "OptimizerState",
-    "StepWorkspace",
-    "UpdateResult",
     "NonFiniteGradientError",
     "adam_step",
     "rmsprop_step",
@@ -81,40 +83,22 @@ class AdamConfig:
 
 @dataclass
 class OptimizerState:
-    """First moment, second moment, and a monotone step counter."""
+    """First moment, second moment, and a monotone step counter.
+
+    ``delta`` receives each step's update and ``temp`` its intermediates.
+    """
 
     m: np.ndarray
     v: np.ndarray
+    delta: np.ndarray
+    temp: np.ndarray
     t: int = 0
 
     @classmethod
     def fresh(cls, dim: int) -> "OptimizerState":
         if dim < 1:
             raise ValueError(f"dim must be >= 1, got {dim}")
-        return cls(m=np.zeros(dim), v=np.zeros(dim), t=0)
-
-
-@dataclass
-class StepWorkspace:
-    """Caller-owned dense buffers for allocation-free steps.
-
-    A step given a workspace returns its delta in ``delta``, valid until the
-    next step that uses the workspace; ``temp`` holds intermediates.
-    """
-
-    delta: np.ndarray
-    temp: np.ndarray
-
-    @classmethod
-    def fresh(cls, dim: int) -> "StepWorkspace":
-        return cls(delta=np.empty(dim), temp=np.empty(dim))
-
-
-@dataclass
-class UpdateResult:
-    """One step's parameter delta."""
-
-    delta_theta: np.ndarray
+        return cls(m=np.zeros(dim), v=np.zeros(dim), delta=np.empty(dim), temp=np.empty(dim))
 
 
 def _check_grad(state: OptimizerState, grad, coords):
@@ -129,10 +113,6 @@ def _check_grad(state: OptimizerState, grad, coords):
     if not np.all(np.isfinite(grad)):
         raise NonFiniteGradientError("gradient contains non-finite entries")
     return grad, ...
-
-
-def _buffers(work: StepWorkspace | None):
-    return (None, None) if work is None else (work.delta, work.temp)
 
 
 MOMENT_FLOOR = 1e-290
@@ -156,16 +136,17 @@ flush clears them.
 """
 
 
-def _flush_tiny(arr: np.ndarray) -> None:
-    mask = np.absolute(arr) < MOMENT_FLOOR
-    if mask.any():
-        arr[mask] = 0.0
+def _ema(arr: np.ndarray, beta: float, idx, x, t: int) -> None:
+    """arr <- beta*arr + (1-beta)*x, where x lives on arr[idx], at step t.
 
-
-def _ema(arr: np.ndarray, beta: float, idx, x) -> None:
-    """arr <- beta*arr + (1-beta)*x, where x lives on arr[idx]."""
+    Every FLUSH_EVERY steps the magnitudes below MOMENT_FLOOR go to zero.
+    """
     arr *= beta
     arr[idx] += (1.0 - beta) * x
+    if t % FLUSH_EVERY == 0:
+        mask = np.absolute(arr) < MOMENT_FLOOR
+        if mask.any():
+            arr[mask] = 0.0
 
 
 def adam_step(
@@ -174,9 +155,10 @@ def adam_step(
     grad,
     theta: np.ndarray | None = None,
     coords=None,
-    work: StepWorkspace | None = None,
-) -> UpdateResult:
+) -> np.ndarray:
     """Advance Adam by one step, mutating ``state`` and returning the update.
+
+    The update is ``state.delta``, valid until the state's next step.
 
     ``theta`` is only consulted when ``config.weight_decay > 0``, in which
     case the raw gradient is augmented with ``weight_decay * theta`` before
@@ -184,34 +166,30 @@ def adam_step(
     ``grad`` came in.
     """
     grad, idx = _check_grad(state, grad, coords)
-    out, temp = _buffers(work)
     if config.weight_decay > 0.0:
         if theta is None:
             raise ValueError("weight_decay > 0 requires the current parameters")
-        full = np.multiply(np.asarray(theta, dtype=float), config.weight_decay, out=temp)
+        full = np.multiply(np.asarray(theta, dtype=float), config.weight_decay, out=state.temp)
         full[idx] += grad
         grad, idx = full, ...
 
     b1, b2 = config.beta1, config.beta2
     state.t += 1
-    _ema(state.m, b1, idx, grad)
-    _ema(state.v, b2, idx, grad * grad)
-    if state.t % FLUSH_EVERY == 0:
-        _flush_tiny(state.m)
-        _flush_tiny(state.v)
+    _ema(state.m, b1, idx, grad, state.t)
+    _ema(state.v, b2, idx, grad * grad, state.t)
 
     c1 = c2 = 1.0  # raw moments: dividing by one is exact
     if config.bias_correction:
         c1 = 1.0 - b1 ** state.t
         if b2 < 1.0:
             c2 = 1.0 - b2 ** state.t
-    m_hat = np.divide(state.m, c1, out=temp)
-    denom = np.divide(state.v, c2, out=out)
+    m_hat = np.divide(state.m, c1, out=state.temp)
+    denom = np.divide(state.v, c2, out=state.delta)
     np.sqrt(denom, out=denom)
     denom += config.epsilon
     delta = np.divide(m_hat, denom, out=denom)
     delta *= -config.lr
-    return UpdateResult(delta_theta=delta)
+    return delta
 
 
 def rmsprop_step(
@@ -219,21 +197,18 @@ def rmsprop_step(
     config: AdamConfig,
     grad,
     coords=None,
-    work: StepWorkspace | None = None,
-) -> UpdateResult:
+) -> np.ndarray:
     """Advance RMSProp by one step.
 
     Identical to Adam with beta1 = 0 and bias correction disabled: the first
-    moment is left untouched and the raw gradient steers the update.
+    moment is left untouched and the raw gradient steers the update. The
+    update is ``state.delta``, valid until the state's next step.
     """
     grad, idx = _check_grad(state, grad, coords)
-    out, _ = _buffers(work)
     state.t += 1
-    _ema(state.v, config.beta2, idx, grad * grad)
-    if state.t % FLUSH_EVERY == 0:
-        _flush_tiny(state.v)
+    _ema(state.v, config.beta2, idx, grad * grad, state.t)
 
-    denom = np.sqrt(state.v, out=out)
+    denom = np.sqrt(state.v, out=state.delta)
     denom += config.epsilon
     if coords is None:
         delta = np.divide(grad, denom, out=denom)
@@ -243,7 +218,7 @@ def rmsprop_step(
         delta = np.divide(0.0, denom, out=denom)
         delta[coords] = touched
     delta *= -config.lr
-    return UpdateResult(delta_theta=delta)
+    return delta
 
 
 def sgd_momentum_step(
@@ -252,17 +227,16 @@ def sgd_momentum_step(
     beta1: float,
     grad,
     coords=None,
-    work: StepWorkspace | None = None,
-) -> UpdateResult:
-    """Advance damped-momentum SGD by one step; beta1 = 0 is plain descent."""
+) -> np.ndarray:
+    """Advance damped-momentum SGD by one step; beta1 = 0 is plain descent.
+
+    The update is ``state.delta``, valid until the state's next step.
+    """
     if not lr > 0:
         raise ValueError(f"lr must be positive, got {lr}")
     if not 0.0 <= beta1 < 1.0:
         raise ValueError(f"beta1 must lie in [0, 1), got {beta1}")
     grad, idx = _check_grad(state, grad, coords)
-    out, _ = _buffers(work)
     state.t += 1
-    _ema(state.m, beta1, idx, grad)
-    if state.t % FLUSH_EVERY == 0:
-        _flush_tiny(state.m)
-    return UpdateResult(delta_theta=np.multiply(state.m, -lr, out=out))
+    _ema(state.m, beta1, idx, grad, state.t)
+    return np.multiply(state.m, -lr, out=state.delta)

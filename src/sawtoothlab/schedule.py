@@ -53,12 +53,7 @@ class EpochSchedule:
     ) -> None:
         if policy not in POLICIES:
             raise ValueError(f"unknown policy {policy!r}, expected one of {POLICIES}")
-        if num_samples < 1:
-            raise ValueError(f"num_samples must be >= 1, got {num_samples}")
-        if not 1 <= batch_size <= num_samples:
-            raise ValueError(
-                f"batch_size must lie in [1, {num_samples}], got {batch_size}"
-            )
+        _last_batch_size(num_samples, batch_size)  # checks both sizes
         self.policy = policy
         self.num_samples = num_samples
         self.batch_size = batch_size
@@ -71,38 +66,21 @@ class EpochSchedule:
         self._cursor = 0
 
     def _next_order(self) -> np.ndarray:
-        n = self.num_samples
-        if self.policy == "shuffle":
-            return self.rng.permutation(n)
-        if self.policy == "fixed":
-            if self._order is None:
-                if self.initial_shuffle:
-                    return self.rng.permutation(n)
-                return np.arange(n)
-            return self._order
-        if self.policy == "reverse":
-            if self._order is None:
-                if self.initial_shuffle:
-                    return self.rng.permutation(n)
-                return np.arange(n)
-            return self._order[::-1].copy()
-        raise AssertionError(self.policy)
+        if self.policy == "shuffle" or (self._order is None and self.initial_shuffle):
+            return self.rng.permutation(self.num_samples)
+        if self._order is None:
+            return np.arange(self.num_samples)
+        return self._order[::-1].copy() if self.policy == "reverse" else self._order
 
     def _begin_epoch(self) -> None:
         self.epoch += 1
         n, b = self.num_samples, self.batch_size
         count = batches_per_epoch(n, b)
         if self.policy == "replacement":
-            draws = self.rng.integers(0, n, size=count * b)
-            self._batches = [
-                Batch(indices=draws[k * b : (k + 1) * b]) for k in range(count)
-            ]
+            indices = self.rng.integers(0, n, size=count * b)
         else:
-            self._order = self._next_order()
-            self._batches = [
-                Batch(indices=self._order[k * b : min((k + 1) * b, n)])
-                for k in range(count)
-            ]
+            indices = self._order = self._next_order()
+        self._batches = [Batch(indices=indices[k * b : (k + 1) * b]) for k in range(count)]
         self._cursor = 0
 
     def _exhausted(self) -> bool:

@@ -21,7 +21,6 @@ import numpy as np
 from .optim import (
     AdamConfig,
     OptimizerState,
-    StepWorkspace,
     adam_step,
     rmsprop_step,
     sgd_momentum_step,
@@ -265,17 +264,16 @@ def run(config: RunConfig) -> RunResult:
     )
     theta = _initial_theta(config, problem.dim)
     state = OptimizerState.fresh(problem.dim)
-    work = StepWorkspace.fresh(problem.dim)
     opt_config = config.adam_config()
     if config.optimizer == "adam":
         def step_fn(coords, vals):
-            return adam_step(state, opt_config, vals, theta, coords, work)
+            return adam_step(state, opt_config, vals, theta, coords)
     elif config.optimizer == "rmsprop":
         def step_fn(coords, vals):
-            return rmsprop_step(state, opt_config, vals, coords, work)
+            return rmsprop_step(state, opt_config, vals, coords)
     else:
         def step_fn(coords, vals):
-            return sgd_momentum_step(state, config.lr, config.beta1, vals, coords, work)
+            return sgd_momentum_step(state, config.lr, config.beta1, vals, coords)
 
     schedule = EpochSchedule(
         config.policy,
@@ -320,7 +318,7 @@ def run(config: RunConfig) -> RunResult:
                 tracked_loss, t_coords, t_vals = batch_loss_grad(problem, tracked, theta)
                 dot_g = _dot(gbuf, t_coords, t_vals)
             if not diverged:
-                delta = step_fn(coords, vals).delta_theta
+                delta = step_fn(coords, vals)  # state.delta, rewritten next step
                 theta += delta
 
             trace.batch_loss[row] = loss
@@ -341,10 +339,12 @@ def run(config: RunConfig) -> RunResult:
         if diverged:
             break
 
-    trace = Trace(
-        {name: getattr(trace, name)[:row] for name in TRACE_COLUMNS},
-        probes_enabled=config.probe,
-    )
+    if row < len(trace):
+        # copies, so a diverged trace does not keep the full-length columns alive
+        trace = Trace(
+            {name: getattr(trace, name)[:row].copy() for name in TRACE_COLUMNS},
+            probes_enabled=config.probe,
+        )
     return RunResult(
         config=config,
         trace=trace,
@@ -434,7 +434,7 @@ def run_toy(
     for row in range(len(trace)):
         i = int(schedule.next_batch().indices[0])
         trace.batch_loss[row] = toy_losses(float(theta[0]))[i]
-        theta += step_fn(grads[i]).delta_theta
+        theta += step_fn(grads[i])
         trace.g_norm[row] = abs(grads[i, 0])
         trace.m_norm[row] = abs(state.m[0])
         trace.v_norm[row] = state.v[0]

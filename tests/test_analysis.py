@@ -97,6 +97,27 @@ def test_esp_metrics_skips_short_epochs():
     assert np.isnan(metrics[0].drop)
 
 
+def test_esp_metrics_scores_a_partial_last_epoch_with_the_full_window():
+    # two 40-step epochs set the default window to 2 for the whole trace; a
+    # 3-step last epoch is shorter than two of them and is skipped, where a
+    # window of its own (5 percent of 3, so 1) would have scored it
+    tr = _trace(
+        np.repeat([1, 2, 3], [40, 40, 3]),
+        np.concatenate([np.full(40, 2.0), np.full(40, 1.0), [5.0, 9.0, 50.0]]),
+    )
+    metrics = esp_metrics(tr)
+    assert [m.epoch for m in metrics] == [1, 2]
+    assert np.isnan(metrics[1].drop)
+    # a 4-step last epoch is long enough and is scored with that same window
+    tr = _trace(
+        np.repeat([1, 2, 3], [40, 40, 4]),
+        np.concatenate([np.full(40, 2.0), np.full(40, 1.0), [5.0, 9.0, 50.0, 70.0]]),
+    )
+    m3 = esp_metrics(tr)[-1]
+    assert m3.epoch == 3
+    assert m3.loss_start == pytest.approx(7.0) and m3.loss_end == pytest.approx(60.0)
+
+
 def test_esp_metrics_empty():
     assert esp_metrics(_trace(np.array([], dtype=int), np.array([]))) == []
 

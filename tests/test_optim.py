@@ -1,5 +1,7 @@
 """Stepper unit tests: hand-evaluated values, invariants, reductions."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -9,7 +11,6 @@ from sawtoothlab.optim import (
     AdamConfig,
     NonFiniteGradientError,
     OptimizerState,
-    StepWorkspace,
     adam_step,
     rmsprop_step,
     sgd_momentum_step,
@@ -41,7 +42,7 @@ def test_fresh_state_shape_and_zero():
 def test_adam_zero_gradient_gives_zero_update():
     s = OptimizerState.fresh(4)
     r = adam_step(s, AdamConfig(), np.zeros(4))
-    assert not r.delta_theta.any()
+    assert not r.any()
     assert s.t == 1
 
 
@@ -49,7 +50,7 @@ def test_adam_first_step_hand_value():
     # bias correction at t=1 gives m_hat=g, v_hat=g^2, so delta = -lr*g/(|g|+eps)
     s = OptimizerState.fresh(1)
     r = adam_step(s, AdamConfig(lr=0.1, beta1=0.9, beta2=0.999, epsilon=1e-8), np.array([1.0]))
-    assert r.delta_theta[0] == pytest.approx(-0.1, abs=1e-8)
+    assert r[0] == pytest.approx(-0.1, abs=1e-8)
 
 
 def test_adam_first_step_sign_scale_property():
@@ -59,8 +60,8 @@ def test_adam_first_step_sign_scale_property():
     g = rng.normal(size=6)
     g[g == 0] = 1.0
     for c in (3.0, -0.25, 1e-4):
-        a = adam_step(OptimizerState.fresh(6), cfg, g).delta_theta
-        b = adam_step(OptimizerState.fresh(6), cfg, c * g).delta_theta
+        a = adam_step(OptimizerState.fresh(6), cfg, g)
+        b = adam_step(OptimizerState.fresh(6), cfg, c * g)
         np.testing.assert_allclose(b, np.sign(c) * a, rtol=1e-12)
 
 
@@ -80,7 +81,7 @@ def test_adam_without_bias_correction_uses_raw_moments():
     cfg = AdamConfig(lr=1.0, beta1=0.5, beta2=0.5, epsilon=0.0, bias_correction=False)
     r = adam_step(s, cfg, g)
     # m = 1.0, v = 2.0 raw
-    assert r.delta_theta[0] == pytest.approx(-1.0 / np.sqrt(2.0), rel=1e-12)
+    assert r[0] == pytest.approx(-1.0 / np.sqrt(2.0), rel=1e-12)
 
 
 def test_weight_decay_augments_gradient():
@@ -89,7 +90,7 @@ def test_weight_decay_augments_gradient():
     cfg = AdamConfig(weight_decay=0.1)
     ref = adam_step(OptimizerState.fresh(2), AdamConfig(), g + 0.1 * theta)
     got = adam_step(OptimizerState.fresh(2), cfg, g, theta=theta)
-    np.testing.assert_array_equal(got.delta_theta, ref.delta_theta)
+    np.testing.assert_array_equal(got, ref)
 
 
 def test_gradient_validation():
@@ -107,13 +108,13 @@ def test_rmsprop_hand_values():
     r = rmsprop_step(s, AdamConfig(lr=0.1, beta2=0.9, epsilon=0.0), np.array([2.0]))
     # v = 0.1*4 = 0.4
     assert s.v[0] == pytest.approx(0.4, rel=1e-12)
-    assert r.delta_theta[0] == pytest.approx(-0.1 * 2.0 / np.sqrt(0.4), rel=1e-12)
+    assert r[0] == pytest.approx(-0.1 * 2.0 / np.sqrt(0.4), rel=1e-12)
 
     s = OptimizerState.fresh(1)
     cfg = AdamConfig(lr=1.0, beta2=0.5, epsilon=0.0)
     rmsprop_step(s, cfg, np.array([1.0]))
     r2 = rmsprop_step(s, cfg, np.array([1.0]))
-    assert r2.delta_theta[0] == pytest.approx(-1.0 / np.sqrt(0.75), rel=1e-12)
+    assert r2[0] == pytest.approx(-1.0 / np.sqrt(0.75), rel=1e-12)
 
 
 def test_rmsprop_leaves_first_moment_alone():
@@ -125,14 +126,14 @@ def test_rmsprop_leaves_first_moment_alone():
 def test_sgd_momentum_hand_values():
     s = OptimizerState.fresh(1)
     r = sgd_momentum_step(s, lr=0.1, beta1=0.0, grad=np.array([1.0]))
-    assert r.delta_theta[0] == pytest.approx(-0.1, rel=1e-15)
+    assert r[0] == pytest.approx(-0.1, rel=1e-15)
 
     s = OptimizerState.fresh(1)
     r = sgd_momentum_step(s, lr=1.0, beta1=0.9, grad=np.array([1.0]))
-    assert r.delta_theta[0] == pytest.approx(-0.1, rel=1e-12)
+    assert r[0] == pytest.approx(-0.1, rel=1e-12)
     r = sgd_momentum_step(s, lr=1.0, beta1=0.9, grad=np.array([-1.0]))
     # m = 0.9*0.1 - 0.1 = -0.01
-    assert r.delta_theta[0] == pytest.approx(0.01, rel=1e-10)
+    assert r[0] == pytest.approx(0.01, rel=1e-10)
 
 
 def test_adam_reduces_to_rmsprop():
@@ -143,8 +144,8 @@ def test_adam_reduces_to_rmsprop():
     rng = np.random.default_rng(11)
     for _ in range(200):
         g = rng.normal(size=8)
-        da = adam_step(sa, cfg, g).delta_theta
-        dr = rmsprop_step(sr, cfg, g).delta_theta
+        da = adam_step(sa, cfg, g)
+        dr = rmsprop_step(sr, cfg, g)
         np.testing.assert_array_equal(da, dr)
     np.testing.assert_array_equal(sa.v, sr.v)
 
@@ -155,8 +156,8 @@ def test_determinism_bitwise():
     grads = rng.normal(size=(50, 4))
     s1, s2 = OptimizerState.fresh(4), OptimizerState.fresh(4)
     for g in grads:
-        d1 = adam_step(s1, cfg, g).delta_theta
-        d2 = adam_step(s2, cfg, g).delta_theta
+        d1 = adam_step(s1, cfg, g)
+        d2 = adam_step(s2, cfg, g)
         np.testing.assert_array_equal(d1, d2)
 
 
@@ -199,21 +200,20 @@ def test_flush_threshold_is_far_below_normal_scale():
     [("adam", 0.0), ("adam", 0.1), ("rmsprop", 0.0), ("sgd", 0.0)],
 )
 def test_sparse_form_matches_dense_form(optimizer, weight_decay):
-    # (coords, values) with a reused workspace steps exactly like the dense
-    # scattered gradient, across two flushes and for scalar coordinates too
+    # (coords, values) steps exactly like the dense scattered gradient, into
+    # the state's own delta, across two flushes and for scalar coordinates too
     dim = 9
     cfg = AdamConfig(lr=0.05, beta2=0.99, weight_decay=weight_decay)
 
-    def step(state, grad, theta, coords=None, work=None):
+    def step(state, grad, theta, coords=None):
         if optimizer == "adam":
-            return adam_step(state, cfg, grad, theta, coords, work)
+            return adam_step(state, cfg, grad, theta, coords)
         if optimizer == "rmsprop":
-            return rmsprop_step(state, cfg, grad, coords, work)
-        return sgd_momentum_step(state, cfg.lr, cfg.beta1, grad, coords, work)
+            return rmsprop_step(state, cfg, grad, coords)
+        return sgd_momentum_step(state, cfg.lr, cfg.beta1, grad, coords)
 
     rng = np.random.default_rng(5)
     dense, sparse = OptimizerState.fresh(dim), OptimizerState.fresh(dim)
-    work = StepWorkspace.fresh(dim)
     theta = rng.normal(size=dim)
     for k in range(150):
         coords = np.sort(rng.choice(dim, size=1 + k % 4, replace=False))
@@ -224,11 +224,41 @@ def test_sparse_form_matches_dense_form(optimizer, weight_decay):
             coords, vals = int(coords[0]), float(vals[0])
             g[:] = 0.0
             g[coords] = vals
-        want = step(dense, g, theta).delta_theta
-        got = step(sparse, vals, theta, coords, work).delta_theta
-        assert got is work.delta
+        want = step(dense, g, theta)
+        got = step(sparse, vals, theta, coords)
+        assert got is sparse.delta
         np.testing.assert_array_equal(got, want)
         theta += want
     assert sparse.t == dense.t == 150
     np.testing.assert_array_equal(sparse.m, dense.m)
     np.testing.assert_array_equal(sparse.v, dense.v)
+
+
+@pytest.mark.parametrize("optimizer", ["adam", "rmsprop", "sgd"])
+def test_sparse_step_allocates_no_dense_array(optimizer):
+    # the delta lands in the state's own buffers, so a sparse step off a
+    # flush allocates only its few touched values, not one dense vector
+    dim = 100_000
+    cfg = AdamConfig()
+    state = OptimizerState.fresh(dim)
+    coords = np.array([3, 17, 4096])
+    vals = np.array([0.5, -1.0, 2.0])
+
+    def step():
+        if optimizer == "adam":
+            return adam_step(state, cfg, vals, None, coords)
+        if optimizer == "rmsprop":
+            return rmsprop_step(state, cfg, vals, coords)
+        return sgd_momentum_step(state, cfg.lr, cfg.beta1, vals, coords)
+
+    step()  # warm-up, off the measurement
+    tracemalloc.start()
+    try:
+        delta = step()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert state.t % FLUSH_EVERY != 0
+    assert delta is state.delta
+    # one dense vector is 8 * dim = 800 KB; even a dense bool mask is 100 KB
+    assert peak < 8 * dim // 100

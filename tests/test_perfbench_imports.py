@@ -1,12 +1,15 @@
-"""The benchmark under perfbench/ still finds every package name it imports.
+"""The benchmark under perfbench/ still finds every package name it imports,
+and still calls each one in a shape its signature accepts.
 
 The benchmark stays frozen while the package changes, and nothing else in
-the suite imports it, so a rename in the package could break it unseen.
-This reads its sources with `ast` and never runs it.
+the suite imports it, so a rename or a new required parameter in the
+package could break it unseen. This reads its sources with `ast` and never
+runs it.
 """
 
 import ast
 import importlib
+import inspect
 from pathlib import Path
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
@@ -46,3 +49,65 @@ def test_perfbench_imports_include_the_fit_entry_points():
     assert ("sawtoothlab.cli", "MODELS") in imported
     for model in ("g_norm", "m_norm", "v_norm", "dot_m", "dot_dtheta"):
         assert ("sawtoothlab.analysis", f"fit_{model}") in imported
+
+
+def _callee(func, objects):
+    """(label, object) when func is an imported name or an attribute of one."""
+    if isinstance(func, ast.Name) and func.id in objects:
+        return func.id, objects[func.id]
+    if (
+        isinstance(func, ast.Attribute)
+        and isinstance(func.value, ast.Name)
+        and func.value.id in objects
+    ):
+        return f"{func.value.id}.{func.attr}", getattr(objects[func.value.id], func.attr)
+    return None
+
+
+def _package_calls():
+    """(file:line, label, object, positional count, keyword names) per call.
+
+    Calls made through `Tracer.call(label, fn, *args, **kwargs)` count as
+    calls of fn; calls that unpack `*` or `**` are skipped.
+    """
+    imported = {}
+    for filename, module, name in _package_imports():
+        if name is not None:
+            obj = getattr(importlib.import_module(module), name)
+            imported.setdefault(filename, {})[name] = obj
+    calls = []
+    for path in sorted(PERFBENCH.glob("*.py")):
+        objects = imported.get(path.name, {})
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if not isinstance(node, ast.Call):
+                continue
+            target, args = _callee(node.func, objects), node.args
+            if (
+                target is None
+                and isinstance(node.func, ast.Attribute)
+                and node.func.attr == "call"
+                and len(args) >= 2
+            ):
+                target, args = _callee(args[1], objects), args[2:]
+            if target is None:
+                continue
+            keywords = [kw.arg for kw in node.keywords]
+            if any(isinstance(a, ast.Starred) for a in args) or None in keywords:
+                continue
+            calls.append((f"{path.name}:{node.lineno}", *target, len(args), keywords))
+    return calls
+
+
+def test_perfbench_calls_bind_to_package_signatures():
+    calls = _package_calls()
+    mismatched = []
+    for where, label, obj, positional, keywords in calls:
+        try:
+            inspect.signature(obj).bind(*[None] * positional, **dict.fromkeys(keywords))
+        except TypeError as exc:
+            mismatched.append(f"{where}: {label}: {exc}")
+    assert not mismatched
+    checked = {label for _, label, *_ in calls}
+    for name in ("adam_step", "rmsprop_step", "sgd_momentum_step", "OptimizerState.fresh",
+                 "run", "esp_metrics", "boundary_overlap_mc", "write_trace_csv"):
+        assert name in checked, name

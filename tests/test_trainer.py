@@ -74,9 +74,9 @@ def _mirror_columns(config):
                 res = rmsprop_step(state, opt, g)
             else:
                 res = sgd_momentum_step(state, config.lr, config.beta1, g)
-            theta += res.delta_theta
+            theta += res
             dot_m = float(state.m[tc] @ tv)
-            dot_dtheta = float(res.delta_theta[tc] @ tv)
+            dot_dtheta = float(res[tc] @ tv)
             cum += dot_dtheta
             rows.append(
                 (loss, g_norm,
@@ -249,6 +249,18 @@ def test_runaway_run_is_cut_short():
     assert res.divergence_step is not None
     assert len(res.trace) == res.divergence_step + 1
     assert len(res.trace) < 3 * 50
+
+
+def test_diverged_trace_columns_own_exactly_their_rows():
+    cfg = RunConfig(
+        optimizer="sgd", lr=1000.0, num_functions=50, dim=10, problem_seed=1,
+        seed=1, num_epochs=3, tracked_batch=0,
+    )
+    res = run(cfg)
+    assert res.diverged
+    for name in TRACE_COLUMNS:
+        col = getattr(res.trace, name)
+        assert col.base is None and col.size == res.divergence_step + 1, name
 
 
 def test_diverged_step_is_recorded_unprobed_and_without_an_update():
