@@ -5,23 +5,25 @@ ignored. Every field of RunConfig is a key, typed by its annotation, except
 two that are renamed: ``epochs`` sets num_epochs and ``epoch_start_probe``
 sets epoch_start_probe_epoch. The runner keys set the ExperimentSpec itself:
 name, out (output directory), sweep_cap, workers, window (epoch-metrics
-smoothing) and emit (a comma list drawn from csv and svg). A
-comma-separated value turns a sweepable key (beta1, beta2, epsilon,
-batch_size, policy) into a sweep axis; the cross product of all axes is
-executed, bounded by sweep_cap. Example:
+smoothing) and emit (a comma list drawn from csv and svg). Any config key
+takes a comma-separated list: a single value pins it, and a list makes it a
+sweep axis. The cross product of all axes is executed, bounded by
+sweep_cap. Example:
 
     name = beta2_grid
     num_functions = 2000
     dim = 2000
     epochs = 9
     beta2 = 0.999, 0.9, 0.8, 0.7
+    seed = 5, 6, 7
     emit = csv, svg
 """
 
 from __future__ import annotations
 
+import math
 import types
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from itertools import product
 from typing import Union, get_args, get_origin, get_type_hints
 
@@ -41,8 +43,6 @@ class SpecError(ValueError):
         super().__init__(f"{where}: {message}")
 
 
-SWEEPABLE = ("beta1", "beta2", "epsilon", "batch_size", "policy")
-
 # spec key -> RunConfig field, where the names differ
 _CONFIG_RENAMES = {"epochs": "num_epochs", "epoch_start_probe": "epoch_start_probe_epoch"}
 
@@ -51,11 +51,10 @@ _VALID_EMIT = ("csv", "svg")
 
 @dataclass
 class ExperimentSpec:
-    """A parsed spec: scalar settings plus sweep axes, ready to expand."""
+    """A parsed spec: each config key's values (one if pinned), ready to expand."""
 
     name: str = "experiment"
-    settings: dict = field(default_factory=dict)
-    sweeps: dict = field(default_factory=dict)
+    axes: dict = field(default_factory=dict)
     emit: tuple[str, ...] = ("csv",)
     out: str | None = None
     sweep_cap: int = 64
@@ -63,32 +62,27 @@ class ExperimentSpec:
     window: int | None = None
 
     def num_points(self) -> int:
-        n = 1
-        for values in self.sweeps.values():
-            n *= len(values)
-        return n
+        return math.prod(len(values) for values in self.axes.values())
 
     def expand(self) -> list[tuple[str, RunConfig]]:
-        """Label and RunConfig for every sweep point, in file order."""
+        """Label and RunConfig for every point of the grid, in file order.
+
+        Each label is ``point_{i:03d}`` plus ``_{key}={value}`` for every
+        axis that holds more than one value.
+        """
         n = self.num_points()
         if n > self.sweep_cap:
-            raise SpecError(
-                f"sweep has {n} points, above the cap of {self.sweep_cap}"
-            )
-        base = RunConfig(**self.settings)
-        if not self.sweeps:
-            return [("point_000", base)]
-        keys = list(self.sweeps)
+            raise SpecError(f"sweep has {n} points, above the cap of {self.sweep_cap}")
         points = []
-        for i, combo in enumerate(product(*(self.sweeps[k] for k in keys))):
-            overrides = {
-                _CONFIG_RENAMES.get(k, k): v for k, v in zip(keys, combo)
-            }
-            label = f"point_{i:03d}_" + "_".join(
-                f"{k}={v:g}" if isinstance(v, float) else f"{k}={v}"
-                for k, v in zip(keys, combo)
+        for i, combo in enumerate(product(*self.axes.values())):
+            values = dict(zip(self.axes, combo))
+            label = f"point_{i:03d}" + "".join(
+                f"_{k}={v:g}" if isinstance(v, float) else f"_{k}={v}"
+                for k, v in values.items()
+                if len(self.axes[k]) > 1
             )
-            points.append((label, replace(base, **overrides)))
+            config = RunConfig(**{_CONFIG_RENAMES.get(k, k): v for k, v in values.items()})
+            points.append((label, config))
         return points
 
 
@@ -103,7 +97,7 @@ def _value_type(hint) -> type:
 _RUNNER_TYPES = {
     name: _value_type(hint)
     for name, hint in get_type_hints(ExperimentSpec).items()
-    if name not in ("settings", "sweeps")
+    if name != "axes"
 }
 _SPEC_KEY = {name: key for key, name in _CONFIG_RENAMES.items()}
 _KEY_TYPES = {
@@ -176,24 +170,10 @@ def parse_spec(text: str, source: str = "spec") -> ExperimentSpec:
             setattr(spec, key, converted)
             continue
 
-        if "," in value:
-            if key not in SWEEPABLE:
-                raise SpecError(
-                    f"{key!r} cannot be swept (sweepable: {', '.join(SWEEPABLE)})",
-                    source,
-                    lineno,
-                )
-            values = [_convert(key, v, source, lineno) for v in value.split(",")]
-            if len(values) != len(set(values)):
-                raise SpecError(f"sweep values for {key!r} repeat", source, lineno)
-            spec.sweeps[key] = values
-        else:
-            spec.settings[_CONFIG_RENAMES.get(key, key)] = _convert(key, value, source, lineno)
-
-    # a swept key must not also be pinned
-    for key in spec.sweeps:
-        if _CONFIG_RENAMES.get(key, key) in spec.settings:
-            raise SpecError(f"{key!r} is both pinned and swept", source)
+        values = [_convert(key, v, source, lineno) for v in value.split(",")]
+        if len(values) != len(set(values)):
+            raise SpecError(f"sweep values for {key!r} repeat", source, lineno)
+        spec.axes[key] = values
     try:
         spec.expand()
     except SpecError:

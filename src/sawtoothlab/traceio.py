@@ -97,7 +97,8 @@ def read_trace_csv(path) -> Trace:
                 )
         except ValueError as exc:
             raise ValueError(f"{path}: {exc}") from None
-    columns = {name: np.ascontiguousarray(table[name]) for name in TRACE_COLUMNS}
+    # field views of the one loaded table, so reading holds a single copy
+    columns = {name: table[name] for name in TRACE_COLUMNS}
     probes = any(not np.isnan(columns[name]).all() for name in PROBE_COLUMNS)
     return Trace(columns, probes_enabled=probes)
 

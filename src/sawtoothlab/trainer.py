@@ -150,6 +150,10 @@ class RunConfig:
             raise ValueError(f"unknown policy {self.policy!r}, expected one of {POLICIES}")
         if self.dim < 1:
             raise ValueError(f"dim must be >= 1, got {self.dim}")
+        for key in ("seed", "problem_seed"):
+            # numpy would reject a negative seed only once the run starts
+            if getattr(self, key) < 0:
+                raise ValueError(f"{key} must be >= 0, got {getattr(self, key)}")
         if self.num_epochs < 1:
             raise ValueError("num_epochs must be >= 1")
         if self.epoch_start_probe_epoch is not None and not (

@@ -84,6 +84,11 @@ def test_run_exit_codes(tmp_path):
     windowless.write_text(TINY_SPEC + "window = 0\n")
     assert main(["run", str(windowless), "--out", str(tmp_path / "w")]) == 2
     assert not (tmp_path / "w").exists()
+    # a negative seed used to make the output directory, then fail in numpy
+    unseeded = tmp_path / "unseeded.spec"
+    unseeded.write_text(TINY_SPEC + "seed = -1\n")
+    assert main(["run", str(unseeded), "--out", str(tmp_path / "s")]) == 2
+    assert not (tmp_path / "s").exists()
 
 
 def test_run_rejects_bad_sweep_point_before_any_point_runs(tmp_path, capsys):

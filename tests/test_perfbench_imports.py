@@ -111,3 +111,46 @@ def test_perfbench_calls_bind_to_package_signatures():
     for name in ("adam_step", "rmsprop_step", "sgd_momentum_step", "OptimizerState.fresh",
                  "run", "esp_metrics", "boundary_overlap_mc", "write_trace_csv"):
         assert name in checked, name
+
+
+# The parameter each positional argument of perfbench's calls binds to, per
+# call label, as the package declared them when the benchmark was written. A
+# parameter inserted ahead of these would keep the arity and shift every
+# later argument onto the wrong name.
+_POSITIONAL_PARAMS = {
+    "AdamConfig": (),
+    "Batch": (),
+    "EpochSchedule": ("policy", "num_samples", "batch_size", "seed", "initial_shuffle"),
+    "OptimizerState.fresh": ("dim",),
+    "Trace": ("columns",),
+    "adam_step": ("state", "config", "grad", "theta"),
+    "batch_grad": ("problem", "batch", "x"),
+    "batch_loss": ("problem", "batch", "x"),
+    "boundary_overlap_mc": ("num_samples", "batch_size", "trials", "seed"),
+    "esp_metrics": ("trace",),
+    "evaluate_fit": ("fit", "t"),
+    "expected_overlap": ("num_samples", "batch_size"),
+    "generate_quadratic": ("seed", "num_functions", "dim"),
+    "load_spec": ("path",),
+    "read_trace_csv": ("path",),
+    "render_line_chart_svg": ("path", "series"),
+    "rmsprop_step": ("state", "config", "grad"),
+    "run": ("config",),
+    "sgd_momentum_step": ("state", "lr", "beta1", "grad"),
+    "sparse_batch_grad": ("problem", "batch", "x"),
+    "window_average": ("y", "window"),
+    "write_epochs_csv": ("metrics", "path"),
+    "write_meta_json": ("meta", "path"),
+    "write_trace_csv": ("trace", "path"),
+}
+
+
+def test_perfbench_positional_arguments_keep_their_parameters():
+    moved = []
+    for where, label, obj, positional, keywords in _package_calls():
+        bound = inspect.signature(obj).bind(*[None] * positional, **dict.fromkeys(keywords))
+        names = tuple(bound.arguments)[:positional]
+        pinned = _POSITIONAL_PARAMS.get(label, ())[:positional]
+        if names != pinned:
+            moved.append(f"{where}: {label}: binds {names}, pinned {pinned}")
+    assert not moved

@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sawtoothlab import specfile
-from sawtoothlab.specfile import SWEEPABLE, SpecError, load_spec, parse_spec
+from sawtoothlab.specfile import SpecError, load_spec, parse_spec
 from sawtoothlab.trainer import RunConfig
 
 BASE = """
@@ -59,9 +59,27 @@ def test_sweep_cap_enforced():
         parse_spec(text)
 
 
-def test_non_sweepable_key_rejected():
-    with pytest.raises(SpecError, match="cannot be swept"):
-        parse_spec(BASE + "lr = 0.01, 0.02\n")
+def test_any_config_key_sweeps():
+    # a renamed key sweeps too, and its label keeps the spec's name
+    text = BASE.replace("epochs = 2", "epochs = 1, 2")
+    text += "lr = 0.01, 0.02\nseed = 3, 4\noptimizer = adam, sgd\nsweep_cap = 16\n"
+    points = parse_spec(text).expand()
+    assert points[0][0] == "point_000_epochs=1_lr=0.01_seed=3_optimizer=adam"
+    assert points[-1][0] == "point_015_epochs=2_lr=0.02_seed=4_optimizer=sgd"
+    combos = [(cfg.num_epochs, cfg.lr, cfg.seed, cfg.optimizer) for _, cfg in points]
+    assert combos == list(itertools.product((1, 2), (0.01, 0.02), (3, 4), ("adam", "sgd")))
+    # the pinned keys hold at every point
+    assert {(cfg.num_functions, cfg.dim, cfg.tracked_batch) for _, cfg in points} == {(100, 50, 0)}
+
+
+def test_each_point_is_built_from_its_own_values():
+    # the default tracked_batch of 100 is out of range for 50 functions, but
+    # no point uses it, so the spec is valid
+    points = parse_spec("num_functions = 50\ntracked_batch = 1, 2\n").expand()
+    assert [(label, cfg.tracked_batch) for label, cfg in points] == [
+        ("point_000_tracked_batch=1", 1),
+        ("point_001_tracked_batch=2", 2),
+    ]
 
 
 def test_duplicate_and_unknown_and_empty_keys():
@@ -92,7 +110,8 @@ def test_bad_values_rejected():
 def test_booleans_accept_common_spellings():
     for raw, expected in (("yes", True), ("FALSE", False), ("1", True), ("off", False)):
         spec = parse_spec(BASE + f"probe = {raw}\n")
-        assert spec.settings["probe"] is expected
+        assert spec.axes["probe"] == [expected]
+        assert spec.expand()[0][1].probe is expected
 
 
 def test_emit_validation():
@@ -122,6 +141,12 @@ def test_invalid_config_surfaces_as_spec_error():
         parse_spec(BASE + "epsilon = 1e-8, 0\n")
     with pytest.raises(SpecError, match="tracked_batch"):
         parse_spec("num_functions = 800\nbatch_size = 1, 8\n")
+    # numpy would reject a negative seed only once its point ran
+    for key in ("seed", "problem_seed"):
+        with pytest.raises(SpecError, match=f"spec: {key} must be >= 0, got -1"):
+            parse_spec(BASE + f"{key} = -1\n")
+    with pytest.raises(SpecError, match="spec: seed must be >= 0, got -1"):
+        parse_spec(BASE + "seed = 3, -1\n")
     for optimizer in ("adam", "rmsprop"):
         with pytest.raises(SpecError, match=f"beta2 must be < 1 for {optimizer}"):
             parse_spec(BASE + f"optimizer = {optimizer}\nbeta2 = 0.999, 1.0\n")
@@ -221,12 +246,17 @@ _AXIS_VALUES = {
     "epsilon": (1e-8, 1e-5, 1e-3),
     "batch_size": (1, 2, 4, 10),
     "policy": ("shuffle", "fixed", "reverse", "replacement"),
+    "seed": (0, 1, 12, 2**32 - 1),
+    "problem_seed": (0, 5, 13),
+    "dim": (1, 7, 50, 1000),
+    "optimizer": ("adam", "rmsprop", "sgd"),
 }
 
 
 @st.composite
 def _sweeps(draw):
-    keys = draw(st.lists(st.sampled_from(SWEEPABLE), unique=True, max_size=len(SWEEPABLE)))
+    # at most four axes keep a grid at 256 points
+    keys = draw(st.lists(st.sampled_from(list(_AXIS_VALUES)), unique=True, max_size=4))
     return {
         key: draw(st.lists(st.sampled_from(_AXIS_VALUES[key]), unique=True, min_size=1))
         for key in keys
@@ -234,14 +264,17 @@ def _sweeps(draw):
 
 
 def _sweep_text(sweeps: dict) -> str:
-    return "".join(f"{key} = {', '.join(map(str, values))}\n" for key, values in sweeps.items())
+    """BASE without the lines of the swept keys it pins, then one line per axis."""
+    pinned = [line for line in BASE.splitlines() if line.partition("=")[0].strip() not in sweeps]
+    axes = [f"{key} = {', '.join(map(str, values))}" for key, values in sweeps.items()]
+    return "\n".join(pinned + axes) + "\n"
 
 
 @settings(max_examples=60, deadline=None)
 @given(_sweeps())
 def test_num_points_is_the_product_of_the_axes(sweeps):
     product = math.prod(len(values) for values in sweeps.values())
-    spec = parse_spec(BASE + _sweep_text(sweeps) + f"sweep_cap = {product}\n")
+    spec = parse_spec(_sweep_text(sweeps) + f"sweep_cap = {product}\n")
     assert spec.num_points() == product
     points = spec.expand()
     assert len(points) == product
@@ -256,7 +289,7 @@ def test_num_points_is_the_product_of_the_axes(sweeps):
 def test_going_above_the_sweep_cap_raises(sweeps):
     product = math.prod(len(values) for values in sweeps.values())
     with pytest.raises(SpecError, match=f"sweep has {product} points, above the cap"):
-        parse_spec(BASE + _sweep_text(sweeps) + f"sweep_cap = {product - 1}\n")
+        parse_spec(_sweep_text(sweeps) + f"sweep_cap = {product - 1}\n")
 
 
 # one bad line each, and the message it must raise
@@ -267,7 +300,6 @@ _BAD_LINES = (
     ("lr =", "empty value"),
     ("seed = 3.5", "bad value for seed"),
     ("probe = maybe", "not a boolean"),
-    ("lr = 0.01, 0.02", "cannot be swept"),
     ("beta2 = 0.9, 0.9", "repeat"),
     ("emit = csv, png", "emit must be drawn from"),
     ("workers = 0", "workers must be >= 1"),

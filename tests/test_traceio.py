@@ -128,6 +128,17 @@ def test_trace_round_trip_is_exact(small_result, tmp_path):
         )
 
 
+def test_read_columns_share_one_buffer(small_result, tmp_path):
+    # each column is a view of the loaded table, not a copy of it
+    path = tmp_path / "trace.csv"
+    write_trace_csv(small_result.trace, path)
+    back = read_trace_csv(path)
+    table = getattr(back, TRACE_COLUMNS[0]).base
+    assert table is not None and table.dtype.names == TRACE_COLUMNS
+    for name in TRACE_COLUMNS:
+        assert np.shares_memory(table, getattr(back, name)), name
+
+
 def test_probe_gaps_written_as_empty_cells(small_result, tmp_path):
     path = tmp_path / "trace.csv"
     write_trace_csv(small_result.trace, path)

@@ -426,6 +426,11 @@ def test_config_validation():
     ):
         with pytest.raises(ValueError):
             RunConfig(**{**SMALL, **bad})
+    # numpy would reject a negative seed only once the run starts, without the key
+    for key in ("seed", "problem_seed"):
+        with pytest.raises(ValueError, match=f"{key} must be >= 0, got -1"):
+            RunConfig(**{**SMALL, key: -1})
+    RunConfig(**{**SMALL, "seed": 0, "problem_seed": 0})
     # RMSProp has no first moment, so its beta1 goes unchecked
     RunConfig(optimizer="rmsprop", **{**SMALL, "beta1": 1.0})
     # SGD never divides by the second moment, so epsilon = 0 is harmless
