@@ -25,7 +25,6 @@ from .analysis import (
 )
 from .optim import (
     AdamConfig,
-    NonFiniteGradientError,
     OptimizerState,
     adam_step,
     rmsprop_step,
@@ -62,7 +61,6 @@ __all__ = [
     "__version__",
     "AdamConfig",
     "OptimizerState",
-    "NonFiniteGradientError",
     "adam_step",
     "rmsprop_step",
     "sgd_momentum_step",

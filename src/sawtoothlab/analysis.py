@@ -68,7 +68,6 @@ class FitResult:
     residual_norm: float
     beta1: float | None
     beta2: float | None
-    t_range: tuple[float, float]
     degenerate: bool = False
     notes: tuple[str, ...] = ()
 
@@ -312,7 +311,6 @@ def fit_model(
         residual_norm=float(np.linalg.norm(y - pred)),
         beta1=beta1,
         beta2=beta2,
-        t_range=(float(t.min()), float(t.max())),
         degenerate=bool(dropped or rank < X.shape[1] or no_slope),
         notes=tuple(notes),
     )
@@ -487,24 +485,19 @@ def nshape_delta(m_hat, v_prev, g_squared, beta2: float) -> np.ndarray:
     return -m_hat / np.sqrt(denom_sq)
 
 
-def nshape_sweep(
-    grad_l_b, m_hat, v_prev, g_squared, betas=None
-) -> tuple[np.ndarray, np.ndarray]:
+def nshape_sweep(grad_l_b, m_hat, v_prev, g_squared) -> tuple[np.ndarray, np.ndarray]:
     """Cosine similarity of the hypothetical update with a batch gradient,
     swept over the second-moment mixing coefficient.
 
     Returns (betas_used, cosines); grid points with a zero denominator or a
-    zero-norm vector are skipped with a notice. The default grid is 101
-    evenly spaced points on [0, 1].
+    zero-norm vector are skipped with a notice. The grid is 101 evenly
+    spaced points on [0, 1].
     """
     grad = np.asarray(grad_l_b, dtype=float)
-    if betas is None:
-        betas = np.linspace(0.0, 1.0, 101)
-    betas = np.asarray(betas, dtype=float)
     grad_norm = float(np.linalg.norm(grad))
     used = []
     cosines = []
-    for beta2 in betas:
+    for beta2 in np.linspace(0.0, 1.0, 101):
         try:
             delta = nshape_delta(m_hat, v_prev, g_squared, float(beta2))
         except ZeroDivisionError:

@@ -95,7 +95,7 @@ def _execute_point(job: tuple) -> dict:
         "version": __version__,
     }
     if result.epoch_start_losses is not None:
-        meta["epoch_start_probe_epoch"] = result.epoch_start_probe_epoch
+        meta["epoch_start_probe_epoch"] = config.epoch_start_probe_epoch
         meta["epoch_start_losses"] = result.epoch_start_losses
     write_meta_json(meta, point_dir / "meta.json")
     if "svg" in emit:
@@ -408,9 +408,6 @@ def main(argv=None) -> int:
         return int(exc.code or 0)
     try:
         return args.func(args)
-    except SpecError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except OSError as exc:
         print(f"io error: {exc}", file=sys.stderr)
         return 3

@@ -35,6 +35,7 @@ decay thus allocates no dense array.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -42,15 +43,10 @@ import numpy as np
 __all__ = [
     "AdamConfig",
     "OptimizerState",
-    "NonFiniteGradientError",
     "adam_step",
     "rmsprop_step",
     "sgd_momentum_step",
 ]
-
-
-class NonFiniteGradientError(ValueError):
-    """Raised when a step is asked to consume a gradient with NaN or inf."""
 
 
 @dataclass
@@ -69,16 +65,18 @@ class AdamConfig:
     bias_correction: bool = True
 
     def __post_init__(self) -> None:
-        if not self.lr > 0:
-            raise ValueError(f"lr must be positive, got {self.lr}")
+        if not 0 < self.lr < math.inf:
+            raise ValueError(f"lr must be positive and finite, got {self.lr}")
         if not 0.0 <= self.beta1 < 1.0:
             raise ValueError(f"beta1 must lie in [0, 1), got {self.beta1}")
         if not 0.0 <= self.beta2 <= 1.0:
             raise ValueError(f"beta2 must lie in [0, 1], got {self.beta2}")
-        if not self.epsilon >= 0:
-            raise ValueError(f"epsilon must be nonnegative, got {self.epsilon}")
-        if not self.weight_decay >= 0:
-            raise ValueError(f"weight_decay must be nonnegative, got {self.weight_decay}")
+        if not 0 <= self.epsilon < math.inf:
+            raise ValueError(f"epsilon must be nonnegative and finite, got {self.epsilon}")
+        if not 0 <= self.weight_decay < math.inf:
+            raise ValueError(
+                f"weight_decay must be nonnegative and finite, got {self.weight_decay}"
+            )
 
 
 @dataclass
@@ -111,7 +109,7 @@ def _check_grad(state: OptimizerState, grad, coords):
             f"gradient shape {grad.shape} does not match state shape {state.m.shape}"
         )
     if not np.all(np.isfinite(grad)):
-        raise NonFiniteGradientError("gradient contains non-finite entries")
+        raise ValueError("gradient contains non-finite entries")
     return grad, ...
 
 

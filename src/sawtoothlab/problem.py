@@ -55,7 +55,6 @@ class QuadraticProblem:
     dim: int
     coeffs: np.ndarray
     dim_index: np.ndarray
-    seed: int
 
     def __post_init__(self) -> None:
         if self.coeffs.shape != (self.num_functions, 3):
@@ -89,7 +88,6 @@ def generate_quadratic(seed: int, num_functions: int, dim: int) -> QuadraticProb
         dim=dim,
         coeffs=coeffs,
         dim_index=dim_index,
-        seed=seed,
     )
 
 

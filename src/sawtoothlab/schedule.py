@@ -57,7 +57,6 @@ class EpochSchedule:
         self.policy = policy
         self.num_samples = num_samples
         self.batch_size = batch_size
-        self.seed = seed
         self.initial_shuffle = initial_shuffle
         self.rng = np.random.default_rng(seed)
         self.epoch = 0
@@ -99,14 +98,6 @@ class EpochSchedule:
         if self._exhausted():
             self._begin_epoch()
         return list(self._batches)
-
-    def current_order(self) -> np.ndarray:
-        """The realized sample order of the current epoch (permutation policies)."""
-        if self.policy == "replacement":
-            raise ValueError("replacement sampling has no epoch order")
-        if self._order is None:
-            self._begin_epoch()
-        return self._order.copy()
 
 
 def _last_batch_size(num_samples: int, batch_size: int) -> int:

@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import itertools
 import json
-from dataclasses import asdict, fields, is_dataclass
+from dataclasses import asdict, fields
 from typing import get_type_hints
 
 import numpy as np
@@ -120,25 +120,14 @@ def write_epochs_csv(metrics: list[EspMetrics], path) -> None:
 
 
 def _plain(value):
-    if is_dataclass(value) and not isinstance(value, type):
-        return _plain(asdict(value))
-    if isinstance(value, dict):
-        return {k: _plain(v) for k, v in value.items()}
-    if isinstance(value, (list, tuple)):
-        return [_plain(v) for v in value]
-    if isinstance(value, np.ndarray):
-        return [_plain(v) for v in value.tolist()]
-    if isinstance(value, (np.integer,)):
-        return int(value)
-    if isinstance(value, (np.floating,)):
-        return float(value)
-    return value
+    """json's hook: numpy values as Python's, a dataclass (else TypeError) as its dict."""
+    return value.tolist() if isinstance(value, (np.ndarray, np.generic)) else asdict(value)
 
 
 def write_meta_json(meta: dict, path) -> None:
     """Stable sidecar: keys sorted, no volatile fields, trailing newline."""
     with open(path, "w") as fh:
-        json.dump(_plain(meta), fh, indent=2, sort_keys=True)
+        json.dump(meta, fh, indent=2, sort_keys=True, default=_plain)
         fh.write("\n")
 
 
@@ -151,10 +140,9 @@ def render_line_chart_svg(
     title: str = "",
     x_label: str = "",
     y_label: str = "",
-    width: int = 880,
-    height: int = 480,
 ) -> None:
     """Self-contained polyline chart; no external assets or scripts."""
+    width, height = 880, 480
     margin_l, margin_r, margin_t, margin_b = 64, 16, 34, 44
     plot_w = width - margin_l - margin_r
     plot_h = height - margin_t - margin_b

@@ -40,7 +40,6 @@ __all__ = [
     "TRACE_DTYPE",
     "Trace",
     "RunConfig",
-    "ToyConfig",
     "RunResult",
     "run",
     "run_toy",
@@ -166,8 +165,14 @@ class RunConfig:
             )
         if self.probe_stride < 1:
             raise ValueError("probe_stride must be >= 1")
-        if self.divergence_ceiling <= 0:
-            raise ValueError("divergence_ceiling must be positive")
+        if not np.all(np.isfinite(self.x_init)):
+            # the run would go on until a batch reached the coordinate, then flag DIVERGED
+            raise ValueError("x_init must be finite")
+        if not self.divergence_ceiling > 0:
+            # inf is the way to ask for no ceiling; NaN would end every run at step 0
+            raise ValueError(
+                f"divergence_ceiling must be positive, got {self.divergence_ceiling}"
+            )
         self.adam_config()  # lr, betas, epsilon and weight_decay
         if self.optimizer != "adam" and self.weight_decay != 0:
             # only adam_step reads it, so it would be recorded and ignored
@@ -206,23 +211,13 @@ class RunConfig:
 
 
 @dataclass
-class ToyConfig:
-    sequencing: str
-    momentum_beta1: float
-    lr: float
-    epochs: int
-    theta0: float
-
-
-@dataclass
 class RunResult:
-    config: object
+    config: RunConfig | None  # None for run_toy
     trace: Trace
     diverged: bool
     divergence_step: int | None
     epoch_mean_loss: np.ndarray
     epoch_start_losses: np.ndarray | None = None
-    epoch_start_probe_epoch: int | None = None
 
     @property
     def final_mean_loss(self) -> float:
@@ -356,9 +351,6 @@ def run(config: RunConfig) -> RunResult:
         divergence_step=row - 1 if diverged else None,
         epoch_mean_loss=_epoch_mean_loss(trace),
         epoch_start_losses=epoch_start_losses,
-        epoch_start_probe_epoch=config.epoch_start_probe_epoch
-        if epoch_start_losses is not None
-        else None,
     )
 
 
@@ -399,7 +391,6 @@ def run_toy(
     momentum_beta1: float,
     lr: float = 0.1,
     epochs: int = 60,
-    theta0: float = TOY_THETA0,
 ) -> RunResult:
     """Two-batch toy run contrasting a frozen order with epoch reversal.
 
@@ -432,7 +423,7 @@ def run_toy(
             return adam_step(state, adaptive, g)
     policy = "fixed" if sequencing == "fixed" else "reverse"
     schedule = EpochSchedule(policy, num_samples=2, batch_size=1, seed=0)
-    theta = np.array([float(theta0)])
+    theta = np.array([TOY_THETA0])
     grads = np.array([[1.0], [-1.0]])
     trace = Trace.empty(epochs, 2, probes_enabled=False)
     for row in range(len(trace)):
@@ -442,15 +433,8 @@ def run_toy(
         trace.g_norm[row] = abs(grads[i, 0])
         trace.m_norm[row] = abs(state.m[0])
         trace.v_norm[row] = state.v[0]
-    config = ToyConfig(
-        sequencing=sequencing,
-        momentum_beta1=momentum_beta1,
-        lr=lr,
-        epochs=epochs,
-        theta0=theta0,
-    )
     return RunResult(
-        config=config,
+        config=None,
         trace=trace,
         diverged=False,
         divergence_step=None,

@@ -182,7 +182,6 @@ def fit_dot_dtheta(t, y, beta1: float, beta2: float, window: int | None = None) 
         residual_norm=float(np.linalg.norm(y_fit - best_pred)),
         beta1=beta1,
         beta2=beta2,
-        t_range=(float(t.min()), float(t.max())),
         degenerate=beta2 == 1.0,
         notes=tuple(notes),
     )

@@ -474,7 +474,6 @@ def _alignment_fit(decay_amp, level, hyp, shift, beta1=0.9):
         residual_norm=0.0,
         beta1=beta1,
         beta2=0.999,
-        t_range=(1.0, 100.0),
     )
 
 

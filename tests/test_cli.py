@@ -1,5 +1,6 @@
 """Command-line front end, exercised in-process through main()."""
 
+import json
 import re
 
 import numpy as np
@@ -13,7 +14,8 @@ from sawtoothlab.analysis import (
 )
 from sawtoothlab.cli import _resolve_spec_path, main
 from sawtoothlab.specfile import load_spec
-from sawtoothlab.traceio import read_trace_csv, render_line_chart_svg
+from sawtoothlab.traceio import read_trace_csv, render_line_chart_svg, write_trace_csv
+from sawtoothlab.trainer import run_toy
 
 TINY_SPEC = """
 name = tiny
@@ -89,6 +91,11 @@ def test_run_exit_codes(tmp_path):
     unseeded.write_text(TINY_SPEC + "seed = -1\n")
     assert main(["run", str(unseeded), "--out", str(tmp_path / "s")]) == 2
     assert not (tmp_path / "s").exists()
+    # an infinite lr used to run its point and flag it DIVERGED
+    unbounded = tmp_path / "unbounded.spec"
+    unbounded.write_text(TINY_SPEC + "lr = inf\n")
+    assert main(["run", str(unbounded), "--out", str(tmp_path / "u")]) == 2
+    assert not (tmp_path / "u").exists()
 
 
 def test_run_rejects_bad_sweep_point_before_any_point_runs(tmp_path, capsys):
@@ -127,6 +134,25 @@ def test_loss_svg_window_follows_the_schedule_epoch(tmp_path):
     assert main(["run", str(spec), "--out", str(out)]) == 0
     assert '"diverged": true' in (out / "meta.json").read_text()
     assert "window mean (w=2)" in (out / "loss.svg").read_text()
+
+
+def test_run_meta_records_the_epoch_start_probe(tmp_path):
+    spec = tmp_path / "probed.spec"
+    spec.write_text(TINY_SPEC + "epoch_start_probe = 2\n")
+    assert main(["run", str(spec), "--out", str(tmp_path / "p")]) == 0
+    meta = json.loads((tmp_path / "p" / "meta.json").read_text())
+    assert meta["epoch_start_probe_epoch"] == 2
+    assert len(meta["epoch_start_losses"]) == 40
+    # this point diverges on its 30th step, in epoch 1, so epoch 2 is never probed
+    spec.write_text(
+        "optimizer = sgd\nlr = 10.0\nnum_functions = 50\ndim = 10\nproblem_seed = 1\n"
+        "seed = 1\nepochs = 3\nprobe = false\nemit = csv\nepoch_start_probe = 2\n"
+    )
+    assert main(["run", str(spec), "--out", str(tmp_path / "d")]) == 0
+    meta = json.loads((tmp_path / "d" / "meta.json").read_text())
+    assert meta["diverged"] and meta["divergence_step"] == 29
+    assert meta["config"]["epoch_start_probe_epoch"] == 2
+    assert "epoch_start_probe_epoch" not in meta and "epoch_start_losses" not in meta
 
 
 def test_bundled_specs_resolve_and_parse():
@@ -192,6 +218,27 @@ def test_fit_error_paths(tiny_run, tmp_path, capsys):
         "fit", str(bare / "trace.csv"), "--model", "g_norm", "--epoch", "2",
         "--beta2", "0.999",
     ]) == 0
+    # the momentum model also needs beta1, which --beta2 does not supply
+    m_norm = [
+        "fit", str(bare / "trace.csv"), "--model", "m_norm", "--epoch", "2", "--beta2", "0.999",
+    ]
+    assert main(m_norm) == 2
+    assert "--beta1 is required" in capsys.readouterr().err
+    assert not (bare / "fit_m_norm.csv").exists()
+    assert main(m_norm + ["--beta1", "0.8"]) == 0
+    assert "beta1,0.8" in (bare / "fit_m_norm.csv").read_text().splitlines()
+
+
+def test_fit_time_bounds(tiny_run):
+    trace = str(tiny_run / "trace.csv")
+    # the overlay spans exactly the bounds, except that the alignment model
+    # starts at t = 1 whatever --t-min asks for
+    for model, t_min, t_max, first in (("g_norm", 5, 30, 5), ("dot_dtheta", 0, 20, 1)):
+        args = ["fit", trace, "--model", model, "--epoch", "2",
+                "--t-min", str(t_min), "--t-max", str(t_max)]
+        assert main(args) == 0
+        overlay = (tiny_run / f"overlay_{model}.csv").read_text().splitlines()[1:]
+        assert [float(line.split(",")[0]) for line in overlay] == list(range(first, t_max + 1))
 
 
 def test_fit_rejects_malformed_trace(tiny_run, capsys):
@@ -211,6 +258,18 @@ def test_toy_command(tmp_path, capsys):
     for label in ("fixed", "reversed", "reversed_momentum"):
         assert (out / f"toy_{label}.csv").exists()
     assert (out / "toy.svg").exists()
+
+
+def test_toy_command_passes_lr_and_beta1(tmp_path):
+    out = tmp_path / "toy"
+    assert main(["toy", "--out", str(out), "--epochs", "7", "--lr", "0.05", "--beta1", "0.5"]) == 0
+    for label, sequencing, beta1 in (
+        ("fixed", "fixed", 0.0),
+        ("reversed", "reversed", 0.0),
+        ("reversed_momentum", "reversed", 0.5),
+    ):
+        write_trace_csv(run_toy(sequencing, beta1, lr=0.05, epochs=7).trace, tmp_path / "ref.csv")
+        assert (out / f"toy_{label}.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
 
 
 def test_nshape_command(tmp_path, capsys):

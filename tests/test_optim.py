@@ -9,7 +9,6 @@ from sawtoothlab.optim import (
     FLUSH_EVERY,
     MOMENT_FLOOR,
     AdamConfig,
-    NonFiniteGradientError,
     OptimizerState,
     adam_step,
     rmsprop_step,
@@ -29,6 +28,11 @@ def test_config_validation():
         AdamConfig(epsilon=-1e-9)
     with pytest.raises(ValueError):
         AdamConfig(weight_decay=-1.0)
+    # neither inf nor NaN is a usable step size, denominator floor or decay
+    for key in ("lr", "epsilon", "weight_decay"):
+        for value in (np.inf, np.nan):
+            with pytest.raises(ValueError, match=f"{key} must be .* finite"):
+                AdamConfig(**{key: value})
 
 
 def test_fresh_state_shape_and_zero():
@@ -97,9 +101,9 @@ def test_gradient_validation():
     s = OptimizerState.fresh(2)
     with pytest.raises(ValueError):
         adam_step(s, AdamConfig(), np.zeros(3))
-    with pytest.raises(NonFiniteGradientError):
+    with pytest.raises(ValueError, match="non-finite"):
         adam_step(s, AdamConfig(), np.array([1.0, np.nan]))
-    with pytest.raises(NonFiniteGradientError):
+    with pytest.raises(ValueError, match="non-finite"):
         rmsprop_step(s, AdamConfig(), np.array([np.inf, 0.0]))
 
 

@@ -28,7 +28,6 @@ def _single(a, b, c, dim=4, j=1):
         dim=dim,
         coeffs=coeffs,
         dim_index=np.array([j]),
-        seed=-1,
     )
 
 
@@ -58,7 +57,7 @@ def test_single_function_loss_and_grad():
 
 def test_batch_mean_convention():
     coeffs = np.array([[1.0, 0.0, 0.0], [1.0, 2.0, 0.0]])
-    p = QuadraticProblem(2, 3, coeffs, np.array([0, 0]), seed=-1)
+    p = QuadraticProblem(2, 3, coeffs, np.array([0, 0]))
     x = np.zeros(3)
     b = Batch(np.array([0, 1]))
     # losses 0 and 4, gradient contributions 0 and -4 on coordinate 0
@@ -113,7 +112,7 @@ def test_convexity_along_random_segments():
 
 def test_full_loss_shared_coordinate_minimum():
     coeffs = np.array([[1.0, 0.0, 0.0], [1.0, 2.0, 0.0]])
-    p = QuadraticProblem(2, 2, coeffs, np.array([1, 1]), seed=-1)
+    p = QuadraticProblem(2, 2, coeffs, np.array([1, 1]))
     xmin, fmin = full_loss_minimum(p)
     assert xmin[1] == pytest.approx(1.0)
     assert fmin == pytest.approx(2.0)

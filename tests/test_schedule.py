@@ -61,7 +61,7 @@ def test_fixed_policy_is_static():
     np.testing.assert_array_equal(first, np.arange(12))
     for _ in range(2 * batches_per_epoch(12, 5)):
         sched.next_batch()
-    np.testing.assert_array_equal(sched.current_order(), first)
+    np.testing.assert_array_equal(_epoch_indices(sched), first)
 
 
 def test_reverse_policy_alternates():
@@ -93,8 +93,6 @@ def test_replacement_draws_are_unconstrained():
     assert idx.min() >= 0 and idx.max() < 10
     # with-replacement draws almost surely miss some sample in one epoch
     assert len(np.unique(idx)) < 10
-    with pytest.raises(ValueError):
-        sched.current_order()
 
 
 def test_short_final_batch():
@@ -106,8 +104,8 @@ def test_short_final_batch():
 def test_initial_shuffle_randomizes_frozen_order():
     plain = EpochSchedule("fixed", 40, 1, seed=11)
     mixed = EpochSchedule("fixed", 40, 1, seed=11, initial_shuffle=True)
-    np.testing.assert_array_equal(plain.current_order(), np.arange(40))
-    order = mixed.current_order()
+    np.testing.assert_array_equal(_epoch_indices(plain), np.arange(40))
+    order = _epoch_indices(mixed)
     assert not np.array_equal(order, np.arange(40))
     np.testing.assert_array_equal(np.sort(order), np.arange(40))
 

@@ -147,6 +147,17 @@ def test_invalid_config_surfaces_as_spec_error():
             parse_spec(BASE + f"{key} = -1\n")
     with pytest.raises(SpecError, match="spec: seed must be >= 0, got -1"):
         parse_spec(BASE + "seed = 3, -1\n")
+    # these parsed and ran, to a DIVERGED flag or, for epsilon, to no training
+    for key in ("lr", "epsilon", "weight_decay"):
+        with pytest.raises(SpecError, match=f"spec: {key} must be .* finite, got inf"):
+            parse_spec(BASE + f"{key} = inf\n")
+    with pytest.raises(SpecError, match="spec: lr must be positive and finite, got inf"):
+        parse_spec(BASE + "lr = 0.06, inf\n")
+    with pytest.raises(SpecError, match="spec: x_init must be finite"):
+        parse_spec(BASE + "x_init = nan\n")
+    with pytest.raises(SpecError, match="spec: divergence_ceiling must be positive, got nan"):
+        parse_spec(BASE + "divergence_ceiling = nan\n")
+    parse_spec(BASE + "divergence_ceiling = inf\n")
     for optimizer in ("adam", "rmsprop"):
         with pytest.raises(SpecError, match=f"beta2 must be < 1 for {optimizer}"):
             parse_spec(BASE + f"optimizer = {optimizer}\nbeta2 = 0.999, 1.0\n")

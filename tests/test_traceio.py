@@ -278,6 +278,86 @@ def test_meta_json_stable_and_plain(tmp_path):
     assert data["count"] == 7
     assert data["curve"] == [1.0, 2.0]
     assert p1.read_text().endswith("\n")
+    # every value type a meta dict can hold, against bytes written by the
+    # recursive walk that json's default hook replaced
+    rich = {
+        "config": RunConfig(num_functions=4, dim=3, num_epochs=1, tracked_batch=0,
+                            x_init=np.array([0.5, -0.0, 3.0])),
+        "pair": (1, 2.5),
+        "i32": np.int32(-3),
+        "f32": np.float32(0.1),
+        "u8": np.uint8(255),
+        "grid": np.array([[np.nan, np.inf], [-np.inf, -0.0]]),
+        "empty": np.array([]),
+        "metrics": [EspMetrics(epoch=1, loss_start=1.5, loss_end=np.float64(2.0), rise=0.5,
+                               drop=math.nan, amplitude=np.float32(0.25), curvature=-0.0,
+                               concavity_sign=np.int64(-1))],
+    }
+    write_meta_json(rich, p1)
+    assert p1.read_bytes() == RICH_META_JSON
+
+
+RICH_META_JSON = b"""\
+{
+  "config": {
+    "batch_size": 1,
+    "beta1": 0.9,
+    "beta2": 0.999,
+    "bias_correction": true,
+    "dim": 3,
+    "divergence_ceiling": 1000000.0,
+    "epoch_start_probe_epoch": null,
+    "epsilon": 1e-08,
+    "initial_shuffle": false,
+    "lr": 0.06,
+    "num_epochs": 1,
+    "num_functions": 4,
+    "optimizer": "adam",
+    "policy": "shuffle",
+    "probe": true,
+    "probe_stride": 1,
+    "problem_seed": 13,
+    "seed": 12,
+    "tracked_batch": 0,
+    "weight_decay": 0.0,
+    "x_init": [
+      0.5,
+      -0.0,
+      3.0
+    ]
+  },
+  "empty": [],
+  "f32": 0.10000000149011612,
+  "grid": [
+    [
+      NaN,
+      Infinity
+    ],
+    [
+      -Infinity,
+      -0.0
+    ]
+  ],
+  "i32": -3,
+  "metrics": [
+    {
+      "amplitude": 0.25,
+      "concavity_sign": -1,
+      "curvature": -0.0,
+      "drop": NaN,
+      "epoch": 1,
+      "loss_end": 2.0,
+      "loss_start": 1.5,
+      "rise": 0.5
+    }
+  ],
+  "pair": [
+    1,
+    2.5
+  ],
+  "u8": 255
+}
+"""
 
 
 def test_svg_smoke(tmp_path):

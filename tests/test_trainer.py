@@ -431,6 +431,19 @@ def test_config_validation():
         with pytest.raises(ValueError, match=f"{key} must be >= 0, got -1"):
             RunConfig(**{**SMALL, key: -1})
     RunConfig(**{**SMALL, "seed": 0, "problem_seed": 0})
+    # non-finite settings used to run: lr, x_init and weight_decay = inf and a
+    # NaN ceiling were flagged DIVERGED, and epsilon = inf trained nothing
+    for key in ("lr", "epsilon", "weight_decay"):
+        for value in (np.inf, np.nan):
+            with pytest.raises(ValueError, match=f"{key} must be .* finite"):
+                RunConfig(**{**SMALL, key: value})
+    for x_init in (np.nan, np.inf, -np.inf, np.r_[np.ones(29), np.nan]):
+        with pytest.raises(ValueError, match="x_init must be finite"):
+            RunConfig(**{**SMALL, "x_init": x_init})
+    with pytest.raises(ValueError, match="divergence_ceiling must be positive, got nan"):
+        RunConfig(**{**SMALL, "divergence_ceiling": np.nan})
+    # an infinite ceiling is the way to ask for none
+    assert not run(RunConfig(**{**SMALL, "divergence_ceiling": np.inf})).diverged
     # RMSProp has no first moment, so its beta1 goes unchecked
     RunConfig(optimizer="rmsprop", **{**SMALL, "beta1": 1.0})
     # SGD never divides by the second moment, so epsilon = 0 is harmless
@@ -450,7 +463,6 @@ def test_vector_x_init():
 
 def test_epoch_start_probe_capture():
     res = run(RunConfig(epoch_start_probe_epoch=1, **SMALL))
-    assert res.epoch_start_probe_epoch == 1
     losses = res.epoch_start_losses
     assert losses is not None and len(losses) == 60
     # batch 0 is evaluated at the same theta by the probe and the trace
