@@ -119,7 +119,7 @@ def _constrained_lstsq(
     X: np.ndarray,
     y: np.ndarray,
     nonneg: np.ndarray,
-    solved: dict[int, tuple[np.ndarray, bool, float]] | None = None,
+    solved: dict[int, tuple[np.ndarray, bool, float]],
 ) -> np.ndarray:
     """OLS with selected coefficients constrained nonnegative.
 
@@ -132,7 +132,7 @@ def _constrained_lstsq(
     best = None
     best_res = np.inf
     for mask in range(1 << len(constrained)):
-        if solved is not None and mask in solved:
+        if mask in solved:
             beta, feasible, res = solved[mask]
         else:
             zeroed = _zeroed_columns(constrained, mask)
@@ -233,6 +233,8 @@ def fit_model(
     _check_beta(beta2, "beta2", upper_inclusive=True)
     if np.any(t < spec.min_t):
         raise ValueError(f"the {model} model needs t >= {spec.min_t:g}")
+    if window is not None and window < 1:
+        raise ValueError(f"window must be >= 1, got {window}")
     notes: list[str] = []
     cols = spec.basis(t, beta1, beta2)
     smooth = window is not None and window > 1
@@ -252,43 +254,39 @@ def fit_model(
     live_cols = [cols[i] for i in live]
     nonneg = np.array([spec.coeffs[i] in spec.nonneg for i in slots])
 
-    def shifted(shift: float) -> np.ndarray:
+    def design(shift: float | None) -> np.ndarray:
+        if shift is None:
+            return np.column_stack(live_cols)
         col = 1.0 / (t + shift)
-        return window_average(col, window) if smooth else col
+        return np.column_stack(live_cols + [window_average(col, window) if smooth else col])
 
-    def solve(X: np.ndarray, solved=None) -> np.ndarray:
-        if np.any(nonneg):
-            return _constrained_lstsq(X, y, nonneg, solved)
-        return np.linalg.lstsq(X, y, rcond=None)[0]
-
-    if spec.shift is None:
-        X = np.column_stack(live_cols)
-        beta_live = solve(X)
-    else:
+    # a model without a shifted column is a grid of one design
+    shifts = HYPERBOLIC_SHIFT_GRID if spec.shift is not None else (None,)
+    solved = {}
+    if spec.shift is not None and nonneg[-1]:
         # Active sets that clamp the shifted coefficient (the top mask bit)
         # never see the shifted column: their solution, feasibility and
         # residual are the same at every shift, so they are solved once, on
         # the first shift's design.
-        solved = {}
-        if nonneg[-1]:
-            constrained = np.flatnonzero(nonneg)
-            X0 = np.column_stack(live_cols + [shifted(HYPERBOLIC_SHIFT_GRID[0])])
-            top = 1 << (len(constrained) - 1)
-            solved = {
-                mask: _solve_active_set(X0, y, constrained, _zeroed_columns(constrained, mask))
-                for mask in range(top, 2 * top)
-            }
-        best_res = np.inf
-        beta_live = None
-        for shift in HYPERBOLIC_SHIFT_GRID:
-            candidate = shifted(shift)
-            X_shift = np.column_stack(live_cols + [candidate])
-            beta = solve(X_shift, solved)
-            res = float(np.sum((y - X_shift @ beta) ** 2))
-            if beta_live is None or res < best_res - 1e-12 * max(1.0, best_res):
-                best_res, beta_live, X = res, beta, X_shift
-                best_shift, best_col = float(shift), candidate
-        cols = cols + [best_col]
+        constrained = np.flatnonzero(nonneg)
+        X0 = design(shifts[0])
+        top = 1 << (len(constrained) - 1)
+        solved = {
+            mask: _solve_active_set(X0, y, constrained, _zeroed_columns(constrained, mask))
+            for mask in range(top, 2 * top)
+        }
+    beta_live = None
+    for shift in shifts:
+        X_shift = design(shift)
+        if np.any(nonneg):
+            beta = _constrained_lstsq(X_shift, y, nonneg, solved)
+        else:
+            beta = np.linalg.lstsq(X_shift, y, rcond=None)[0]
+        res = float(np.sum((y - X_shift @ beta) ** 2))
+        if beta_live is None or res < best_res - 1e-12 * max(1.0, best_res):
+            best_res, beta_live, X, best_shift = res, beta, X_shift, shift
+    if spec.shift is not None:
+        cols = cols + [X[:, -1]]
     rank = np.linalg.matrix_rank(X)
     if rank < X.shape[1]:
         notes.append("design matrix is rank deficient; minimum-norm solution")
@@ -297,7 +295,7 @@ def fit_model(
     pred = np.column_stack(cols) @ beta
     coeffs = {name: float(b) for name, b in zip(spec.coeffs, beta)}
     if spec.shift is not None:
-        coeffs[spec.shift] = best_shift
+        coeffs[spec.shift] = float(best_shift)
     no_slope = spec.unfold is not None and beta2 == 1.0
     if no_slope:
         notes.append(f"beta2 = 1: {spec.unfold} cannot be unfolded into a slope coefficient")

@@ -173,7 +173,6 @@ def cmd_fit(args) -> int:
     if args.window > len(y):
         print("error: averaging window longer than the series", file=sys.stderr)
         return 2
-    window = args.window if args.window > 1 else None
 
     beta1 = args.beta1
     beta2 = args.beta2
@@ -194,7 +193,7 @@ def cmd_fit(args) -> int:
         print("error: --beta1 is required (no meta.json next to the trace)", file=sys.stderr)
         return 2
 
-    fit = fit_model(args.model, t, y, beta1, beta2, window=window)
+    fit = fit_model(args.model, t, y, beta1, beta2, window=args.window)
     out_dir = Path(args.out) if args.out else Path(args.trace).parent
     out_dir.mkdir(parents=True, exist_ok=True)
     fitted = evaluate_fit(fit, t)
@@ -230,21 +229,20 @@ def cmd_fit(args) -> int:
 
 
 def cmd_toy(args) -> int:
-    cases = [
-        ("fixed", 0.0),
-        ("reversed", 0.0),
-        ("reversed_momentum", args.beta1),
-    ]
+    # every case runs before anything is written, so a bad flag leaves no output
+    traces = {
+        label: run_toy(sequencing, beta1, lr=args.lr, epochs=args.epochs).trace
+        for label, sequencing, beta1 in (
+            ("fixed", "fixed", 0.0),
+            ("reversed", "reversed", 0.0),
+            ("reversed_momentum", "reversed", args.beta1),
+        )
+    }
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
-    traces = {}
     amplitudes = {}
-    for label, beta1 in cases:
-        sequencing = "fixed" if label == "fixed" else "reversed"
-        trace = run_toy(sequencing, beta1, lr=args.lr, epochs=args.epochs).trace
-        traces[label] = trace
-        amp = oscillation_amplitude(trace)
-        amplitudes[label] = amp
+    for label, trace in traces.items():
+        amplitudes[label] = amp = oscillation_amplitude(trace)
         write_trace_csv(trace, out_dir / f"toy_{label}.csv")
         print(f"{label}: amplitude={amp:.6g}")
     ordered = (

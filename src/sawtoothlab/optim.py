@@ -230,8 +230,8 @@ def sgd_momentum_step(
 
     The update is ``state.delta``, valid until the state's next step.
     """
-    if not lr > 0:
-        raise ValueError(f"lr must be positive, got {lr}")
+    if not 0 < lr < math.inf:
+        raise ValueError(f"lr must be positive and finite, got {lr}")
     if not 0.0 <= beta1 < 1.0:
         raise ValueError(f"beta1 must lie in [0, 1), got {beta1}")
     grad, idx = _check_grad(state, grad, coords)

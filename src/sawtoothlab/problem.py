@@ -123,14 +123,11 @@ def batch_grad(problem: QuadraticProblem, batch: Batch, x: np.ndarray) -> np.nda
     """Mean gradient of the batch members at x, as a dense vector.
 
     Each member contributes 2 a (x[j] - b) to its own coordinate; members
-    sharing a coordinate accumulate.
+    sharing a coordinate accumulate. This is sparse_batch_grad scattered.
     """
-    if len(batch) == 0:
-        raise ValueError("batch must be nonempty")
-    a, d, _, j = _gather(problem, batch.indices, x)
+    coords, vals = sparse_batch_grad(problem, batch, x)
     grad = np.zeros(problem.dim)
-    np.add.at(grad, j, 2.0 * a * d)
-    grad /= len(batch)
+    grad[coords] = vals
     return grad
 
 

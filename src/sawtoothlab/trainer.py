@@ -26,14 +26,13 @@ from .optim import (
     sgd_momentum_step,
 )
 from .problem import (
-    Batch,
     QuadraticProblem,
     batch_loss,
     batch_loss_grad,
     generate_quadratic,
     toy_losses,
 )
-from .schedule import POLICIES, EpochSchedule, batches_per_epoch
+from .schedule import EpochSchedule, batches_per_epoch
 
 __all__ = [
     "TRACE_COLUMNS",
@@ -145,8 +144,6 @@ class RunConfig:
     def __post_init__(self) -> None:
         if self.optimizer not in ("adam", "rmsprop", "sgd"):
             raise ValueError(f"unknown optimizer {self.optimizer!r}")
-        if self.policy not in POLICIES:
-            raise ValueError(f"unknown policy {self.policy!r}, expected one of {POLICIES}")
         if self.dim < 1:
             raise ValueError(f"dim must be >= 1, got {self.dim}")
         for key in ("seed", "problem_seed"):
@@ -188,15 +185,18 @@ class RunConfig:
         if self.optimizer != "sgd" and self.beta2 == 1:
             # v never leaves 0, so every step is lr*m/epsilon and the run diverges
             raise ValueError(f"beta2 must be < 1 for {self.optimizer}, got {self.beta2}")
-        if not 1 <= self.batch_size <= self.num_functions:
-            raise ValueError(
-                f"batch_size must lie in [1, {self.num_functions}], got {self.batch_size}"
-            )
+        self.schedule()  # policy, num_functions and batch_size
         bpe = batches_per_epoch(self.num_functions, self.batch_size)
         if self.probe and not 0 <= self.tracked_batch < bpe:
             raise ValueError(
                 f"tracked_batch must lie in [0, {bpe}), got {self.tracked_batch}"
             )
+
+    def schedule(self) -> EpochSchedule:
+        """The batch schedule this config describes, before its first epoch."""
+        return EpochSchedule(
+            self.policy, self.num_functions, self.batch_size, self.seed, self.initial_shuffle
+        )
 
     def adam_config(self) -> AdamConfig:
         """Stepper hyperparameters; RMSProp ignores beta1, so it gets 0."""
@@ -212,17 +212,32 @@ class RunConfig:
 
 @dataclass
 class RunResult:
+    """A run's trace and what it reads off it; a diverged trace ends on the diverged step."""
+
     config: RunConfig | None  # None for run_toy
     trace: Trace
     diverged: bool
-    divergence_step: int | None
-    epoch_mean_loss: np.ndarray
     epoch_start_losses: np.ndarray | None = None
 
     @property
+    def divergence_step(self) -> int | None:
+        return len(self.trace) - 1 if self.diverged else None
+
+    @property
+    def epoch_mean_loss(self) -> np.ndarray:
+        """Mean batch loss of each epoch the trace reaches, summed in step order.
+
+        Each epoch starts at step 0. cumsum adds left to right as a running sum
+        would; np.sum and np.mean add pairwise, which moves the last bits of
+        the pinned meta.json means.
+        """
+        ends = np.flatnonzero(self.trace.step == 0)[1:]
+        return np.array(
+            [np.cumsum(seg)[-1] / len(seg) for seg in np.split(self.trace.batch_loss, ends)]
+        )
+
+    @property
     def final_mean_loss(self) -> float:
-        if len(self.epoch_mean_loss) == 0:
-            return float("nan")
         return float(self.epoch_mean_loss[-1])
 
 
@@ -274,17 +289,10 @@ def run(config: RunConfig) -> RunResult:
         def step_fn(coords, vals):
             return sgd_momentum_step(state, config.lr, config.beta1, vals, coords)
 
-    schedule = EpochSchedule(
-        config.policy,
-        config.num_functions,
-        config.batch_size,
-        config.seed,
-        config.initial_shuffle,
-    )
+    schedule = config.schedule()
     bpe = batches_per_epoch(config.num_functions, config.batch_size)
 
     trace = Trace.empty(config.num_epochs, bpe, config.probe)
-    row = 0
     diverged = False
     epoch_start_losses = None
     ceiling = config.divergence_ceiling
@@ -295,63 +303,51 @@ def run(config: RunConfig) -> RunResult:
     gbuf = np.zeros(problem.dim)
     coords = 0
 
-    for epoch in range(1, config.num_epochs + 1):
-        batches = schedule.peek_epoch_batches()
-        if config.probe:
-            tracked = Batch(indices=batches[config.tracked_batch].indices.copy())
-        if epoch == config.epoch_start_probe_epoch:
-            epoch_start_losses = probe_epoch_start_losses(problem, schedule, theta)
-        cum_dot = 0.0
-        for step in range(bpe):
-            batch = schedule.next_batch()
-            gbuf[coords] = 0.0
-            loss, coords, vals = batch_loss_grad(problem, batch, theta)
-            g_norm = math.nan
-            if math.isfinite(loss) and abs(loss) <= ceiling:
-                gbuf[coords] = vals
-                g_norm = _norm(gbuf, coords, vals)
-            # a diverged step is recorded, without a probe or an update, and ends the run
-            diverged = not math.isfinite(g_norm)
-            probed = not diverged and config.probe and step % config.probe_stride == 0
-            if probed:
-                tracked_loss, t_coords, t_vals = batch_loss_grad(problem, tracked, theta)
-                dot_g = _dot(gbuf, t_coords, t_vals)
-            if not diverged:
-                delta = step_fn(coords, vals)  # state.delta, rewritten next step
-                theta += delta
+    for row in range(len(trace)):
+        epoch, step = divmod(row, bpe)
+        if step == 0:
+            if config.probe:
+                tracked = schedule.peek_epoch_batches()[config.tracked_batch]
+            if epoch + 1 == config.epoch_start_probe_epoch:
+                epoch_start_losses = probe_epoch_start_losses(problem, schedule, theta)
+            cum_dot = 0.0
+        batch = schedule.next_batch()
+        gbuf[coords] = 0.0
+        loss, coords, vals = batch_loss_grad(problem, batch, theta)
+        g_norm = math.nan
+        if math.isfinite(loss) and abs(loss) <= ceiling:
+            gbuf[coords] = vals
+            g_norm = _norm(gbuf, coords, vals)
+        # a diverged step is recorded, without a probe or an update, and ends the run
+        diverged = not math.isfinite(g_norm)
+        probed = not diverged and config.probe and step % config.probe_stride == 0
+        if probed:
+            tracked_loss, t_coords, t_vals = batch_loss_grad(problem, tracked, theta)
+            dot_g = _dot(gbuf, t_coords, t_vals)
+        if not diverged:
+            delta = step_fn(coords, vals)  # state.delta, rewritten next step
+            theta += delta
 
-            trace.batch_loss[row] = loss
-            trace.g_norm[row] = g_norm
-            trace.m_norm[row] = math.sqrt(m_arr @ m_arr)
-            trace.v_norm[row] = math.sqrt(v_arr @ v_arr)
-            if probed:
-                dot_dtheta = _dot(delta, t_coords, t_vals)
-                cum_dot += dot_dtheta
-                trace.tracked_loss[row] = tracked_loss
-                trace.dot_g[row] = dot_g
-                trace.dot_m[row] = _dot(m_arr, t_coords, t_vals)
-                trace.dot_dtheta[row] = dot_dtheta
-                trace.cum_dot[row] = cum_dot
-            row += 1
-            if diverged:
-                break
+        trace.batch_loss[row] = loss
+        trace.g_norm[row] = g_norm
+        trace.m_norm[row] = math.sqrt(m_arr @ m_arr)
+        trace.v_norm[row] = math.sqrt(v_arr @ v_arr)
+        if probed:
+            dot_dtheta = _dot(delta, t_coords, t_vals)
+            cum_dot += dot_dtheta
+            trace.tracked_loss[row] = tracked_loss
+            trace.dot_g[row] = dot_g
+            trace.dot_m[row] = _dot(m_arr, t_coords, t_vals)
+            trace.dot_dtheta[row] = dot_dtheta
+            trace.cum_dot[row] = cum_dot
         if diverged:
+            # copies, so a diverged trace does not keep the full-length columns alive
+            trace = Trace(
+                {name: getattr(trace, name)[: row + 1].copy() for name in TRACE_COLUMNS},
+                probes_enabled=config.probe,
+            )
             break
-
-    if row < len(trace):
-        # copies, so a diverged trace does not keep the full-length columns alive
-        trace = Trace(
-            {name: getattr(trace, name)[:row].copy() for name in TRACE_COLUMNS},
-            probes_enabled=config.probe,
-        )
-    return RunResult(
-        config=config,
-        trace=trace,
-        diverged=diverged,
-        divergence_step=row - 1 if diverged else None,
-        epoch_mean_loss=_epoch_mean_loss(trace),
-        epoch_start_losses=epoch_start_losses,
-    )
+    return RunResult(config, trace, diverged, epoch_start_losses)
 
 
 def probe_epoch_start_losses(
@@ -363,17 +359,6 @@ def probe_epoch_start_losses(
     like sigma^2/B with the batch size.
     """
     return np.array([batch_loss(problem, b, theta) for b in schedule.peek_epoch_batches()])
-
-
-def _epoch_mean_loss(trace: Trace) -> np.ndarray:
-    """Mean batch loss of each epoch the trace reaches, summed in step order.
-
-    Each epoch starts at step 0. cumsum adds left to right as a running sum
-    would; np.sum and np.mean add pairwise, which moves the last bits of
-    the pinned meta.json means.
-    """
-    ends = np.flatnonzero(trace.step == 0)[1:]
-    return np.array([np.cumsum(seg)[-1] / len(seg) for seg in np.split(trace.batch_loss, ends)])
 
 
 # Starting point for the documented toy configuration, slightly off the
@@ -433,23 +418,13 @@ def run_toy(
         trace.g_norm[row] = abs(grads[i, 0])
         trace.m_norm[row] = abs(state.m[0])
         trace.v_norm[row] = state.v[0]
-    return RunResult(
-        config=None,
-        trace=trace,
-        diverged=False,
-        divergence_step=None,
-        epoch_mean_loss=_epoch_mean_loss(trace),
-    )
+    return RunResult(config=None, trace=trace, diverged=False)
 
 
-def oscillation_amplitude(trace: Trace, tail_fraction: float = 0.25) -> float:
-    """Max minus min of the recorded batch loss over the trailing window."""
-    if not 0.0 < tail_fraction <= 1.0:
-        raise ValueError("tail_fraction must lie in (0, 1]")
+def oscillation_amplitude(trace: Trace) -> float:
+    """Max minus min of the batch loss over the trace's last quarter, at least 4 rows."""
     n = len(trace)
     if n == 0:
         raise ValueError("empty trace")
-    k = max(4, int(round(tail_fraction * n)))
-    k = min(k, n)
-    tail = trace.batch_loss[n - k :]
+    tail = trace.batch_loss[n - min(n, max(4, round(0.25 * n))) :]
     return float(np.max(tail) - np.min(tail))

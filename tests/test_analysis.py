@@ -410,6 +410,16 @@ def test_window_longer_than_series_rejected():
         fit_dot_dtheta(t + 1, np.ones_like(t), 0.9, 0.999, window=11)
 
 
+@pytest.mark.parametrize("window", [0, -3])
+def test_window_below_one_rejected(window):
+    # a window below 1 is an error, not a request for no smoothing
+    t = np.arange(10, dtype=float)
+    with pytest.raises(ValueError, match="window must be >= 1"):
+        fit_g_norm(t, np.ones_like(t), 0.999, window=window)
+    with pytest.raises(ValueError, match="window must be >= 1"):
+        fit_dot_dtheta(t + 1, np.ones_like(t), 0.9, 0.999, window=window)
+
+
 def test_degenerate_column_dropped_at_beta2_one():
     t = np.arange(100, dtype=float)
     y = np.full_like(t, 2.5)

@@ -98,6 +98,24 @@ def test_run_exit_codes(tmp_path):
     assert not (tmp_path / "u").exists()
 
 
+def test_sweep_through_the_worker_pool_matches_the_serial_sweep(tmp_path, capsys):
+    outputs = {}
+    for workers in (1, 2):
+        spec = tmp_path / f"workers{workers}.spec"
+        spec.write_text(TINY_SPEC + f"beta2 = 0.999, 0.9\nworkers = {workers}\n")
+        out = tmp_path / f"out{workers}"
+        assert main(["run", str(spec), "--out", str(out)]) == 0
+        summary = capsys.readouterr().out.replace(str(out), "OUT").splitlines()
+        files = {
+            path.relative_to(out).as_posix(): path.read_bytes()
+            for path in sorted(out.rglob("*"))
+            if path.name in ("trace.csv", "epochs.csv", "meta.json")
+        }
+        outputs[workers] = summary, files
+    assert len(outputs[1][0]) == 2 and len(outputs[1][1]) == 6
+    assert outputs[2] == outputs[1]
+
+
 def test_run_rejects_bad_sweep_point_before_any_point_runs(tmp_path, capsys):
     # point 0 (B = 1) is valid; point 1 (B = 8) has only 100 batches per
     # epoch, so the default tracked_batch of 100 is out of range
@@ -229,6 +247,20 @@ def test_fit_error_paths(tiny_run, tmp_path, capsys):
     assert "beta1,0.8" in (bare / "fit_m_norm.csv").read_text().splitlines()
 
 
+def test_fit_rejects_an_unprobed_column_and_an_empty_step_range(tmp_path, capsys):
+    spec = tmp_path / "unprobed.spec"
+    spec.write_text(TINY_SPEC + "probe = false\n")
+    out = tmp_path / "out"
+    assert main(["run", str(spec), "--out", str(out)]) == 0
+    trace = str(out / "trace.csv")
+    assert main(["fit", trace, "--model", "dot_m", "--epoch", "2"]) == 2
+    assert "carries no values for epoch 2 (probes disabled?)" in capsys.readouterr().err
+    assert main(["fit", trace, "--model", "g_norm", "--epoch", "2",
+                 "--t-min", "30", "--t-max", "5"]) == 2
+    assert "not enough points left to fit" in capsys.readouterr().err
+    assert not list(out.glob("fit_*"))
+
+
 def test_fit_time_bounds(tiny_run):
     trace = str(tiny_run / "trace.csv")
     # the overlay spans exactly the bounds, except that the alignment model
@@ -270,6 +302,15 @@ def test_toy_command_passes_lr_and_beta1(tmp_path):
     ):
         write_trace_csv(run_toy(sequencing, beta1, lr=0.05, epochs=7).trace, tmp_path / "ref.csv")
         assert (out / f"toy_{label}.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
+
+
+@pytest.mark.parametrize("flag", [["--lr", "inf"], ["--beta1", "1.5"], ["--epochs", "0"]])
+def test_toy_bad_flag_fails_before_any_output(tmp_path, capsys, flag):
+    # every case is checked before the first trace is written
+    out = tmp_path / "toy"
+    assert main(["toy", "--out", str(out), *flag]) == 2
+    assert "error:" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_nshape_command(tmp_path, capsys):

@@ -35,6 +35,13 @@ def test_config_validation():
                 AdamConfig(**{key: value})
 
 
+def test_sgd_rejects_a_step_size_that_is_not_positive_and_finite():
+    # an infinite step turns every update into -inf or nan
+    for lr in (0.0, np.inf, np.nan):
+        with pytest.raises(ValueError, match="lr must be positive and finite"):
+            sgd_momentum_step(OptimizerState.fresh(2), lr, 0.9, np.array([1.0, 0.0]))
+
+
 def test_fresh_state_shape_and_zero():
     s = OptimizerState.fresh(3)
     assert s.t == 0

@@ -12,6 +12,8 @@ import importlib
 import inspect
 from pathlib import Path
 
+from sawtoothlab.trainer import RunConfig, run
+
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
 
@@ -154,3 +156,30 @@ def test_perfbench_positional_arguments_keep_their_parameters():
         if names != pinned:
             moved.append(f"{where}: {label}: binds {names}, pinned {pinned}")
     assert not moved
+
+
+def _result_reads():
+    """(file:line, name) for every attribute read off a variable named `result`.
+
+    perfbench names each `run()` result `result`.
+    """
+    reads = []
+    for path in sorted(PERFBENCH.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if (
+                isinstance(node, ast.Attribute)
+                and isinstance(node.value, ast.Name)
+                and node.value.id == "result"
+            ):
+                reads.append((f"{path.name}:{node.lineno}", node.attr))
+    return reads
+
+
+def test_perfbench_result_reads_resolve_on_a_run_result():
+    reads = _result_reads()
+    read = {name for _, name in reads}
+    for name in ("trace", "diverged", "divergence_step", "epoch_mean_loss", "final_mean_loss"):
+        assert name in read, name
+    result = run(RunConfig(num_functions=20, dim=10, num_epochs=2, tracked_batch=0))
+    missing = [f"{where}: result.{name}" for where, name in reads if not hasattr(result, name)]
+    assert not missing

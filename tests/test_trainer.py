@@ -568,11 +568,8 @@ def test_oscillation_amplitude_windowing():
 
     tr = trace_of([0.0, 0.0, 0.0, 0.0, 5.0, 1.0, 9.0, 3.0])
     # 25 percent of 8 rounds to 2 but the window never shrinks below 4
-    assert oscillation_amplitude(tr, tail_fraction=0.25) == 8.0
-    assert oscillation_amplitude(tr, tail_fraction=1.0) == 9.0
+    assert oscillation_amplitude(tr) == 8.0
     short = trace_of([1.0, 7.0, 2.0])
-    assert oscillation_amplitude(short, tail_fraction=0.25) == 6.0
-    with pytest.raises(ValueError):
-        oscillation_amplitude(tr, tail_fraction=0.0)
+    assert oscillation_amplitude(short) == 6.0
     with pytest.raises(ValueError):
         oscillation_amplitude(trace_of([]))
