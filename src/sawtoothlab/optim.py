@@ -29,8 +29,18 @@ on the scattered gradient value for value.
 
 Every stepper writes its delta into a dense buffer the state owns and
 returns that array, valid until the state's next step; a caller that needs
-it longer copies it. Off the periodic flush, a sparse step without weight
-decay thus allocates no dense array.
+it longer copies it. Until the update is written that buffer is free, so a
+dense-form step scales its moment inputs there. Off the periodic flush, a
+sparse step without weight decay thus allocates no dense array, and a dense
+one allocates only its finiteness mask.
+
+Adam divides the moments by the bias corrections c1 = 1 - beta1^t and
+c2 = 1 - beta2^t only while they differ from 1.0. In float64 each rounds to
+exactly 1.0 once beta^t falls below 2^-54 (t = 356 for beta1 = 0.9,
+t = 37,412 for beta2 = 0.999), and without bias correction both are 1.0
+from the first step. Dividing by 1.0 returns its operand bit for bit
+(signed zeros, subnormals, inf and NaN included), so skipping it cannot
+move a bit; it saves one full-length pass per skipped division.
 """
 
 from __future__ import annotations
@@ -110,6 +120,8 @@ def _check_grad(state: OptimizerState, grad, coords):
         )
     if not np.all(np.isfinite(grad)):
         raise ValueError("gradient contains non-finite entries")
+    if np.may_share_memory(grad, state.delta):
+        grad = grad.copy()  # the step scales its moment inputs in state.delta
     return grad, ...
 
 
@@ -134,13 +146,22 @@ flush clears them.
 """
 
 
-def _ema(arr: np.ndarray, beta: float, idx, x, t: int) -> None:
+def _ema(arr: np.ndarray, beta: float, idx, x, t: int, scratch: np.ndarray,
+         square: bool = False) -> None:
     """arr <- beta*arr + (1-beta)*x, where x lives on arr[idx], at step t.
 
+    With square, x^2 takes x's place. A dense x (idx is ...) is squared and
+    scaled in scratch, a full-length buffer this overwrites; a sparse x is
+    small enough to scale in a temporary.
     Every FLUSH_EVERY steps the magnitudes below MOMENT_FLOOR go to zero.
     """
     arr *= beta
-    arr[idx] += (1.0 - beta) * x
+    if idx is ...:
+        if square:
+            x = np.multiply(x, x, out=scratch)
+        arr += np.multiply(x, 1.0 - beta, out=scratch)
+    else:
+        arr[idx] += (1.0 - beta) * (x * x if square else x)
     if t % FLUSH_EVERY == 0:
         mask = np.absolute(arr) < MOMENT_FLOOR
         if mask.any():
@@ -162,6 +183,11 @@ def adam_step(
     case the raw gradient is augmented with ``weight_decay * theta`` before
     the moment updates (coupled L2); that gradient is dense whatever form
     ``grad`` came in.
+
+    A bias correction that equals 1.0 (from t = 356 for c1 at beta1 = 0.9,
+    from t = 37,412 for c2 at beta2 = 0.999, and from t = 1 without bias
+    correction) is not divided by: the raw moment is used in place, which
+    gives the same bits because x / 1.0 == x exactly for every float64 x.
     """
     grad, idx = _check_grad(state, grad, coords)
     if config.weight_decay > 0.0:
@@ -173,17 +199,18 @@ def adam_step(
 
     b1, b2 = config.beta1, config.beta2
     state.t += 1
-    _ema(state.m, b1, idx, grad, state.t)
-    _ema(state.v, b2, idx, grad * grad, state.t)
+    _ema(state.m, b1, idx, grad, state.t, state.delta)
+    _ema(state.v, b2, idx, grad, state.t, state.delta, square=True)
 
-    c1 = c2 = 1.0  # raw moments: dividing by one is exact
+    c1 = c2 = 1.0  # raw moments
     if config.bias_correction:
         c1 = 1.0 - b1 ** state.t
         if b2 < 1.0:
             c2 = 1.0 - b2 ** state.t
-    m_hat = np.divide(state.m, c1, out=state.temp)
-    denom = np.divide(state.v, c2, out=state.delta)
-    np.sqrt(denom, out=denom)
+    # x / 1.0 is x bit for bit, so a correction that has rounded to 1.0 is skipped
+    m_hat = state.m if c1 == 1.0 else np.divide(state.m, c1, out=state.temp)
+    v_hat = state.v if c2 == 1.0 else np.divide(state.v, c2, out=state.delta)
+    denom = np.sqrt(v_hat, out=state.delta)
     denom += config.epsilon
     delta = np.divide(m_hat, denom, out=denom)
     delta *= -config.lr
@@ -204,7 +231,7 @@ def rmsprop_step(
     """
     grad, idx = _check_grad(state, grad, coords)
     state.t += 1
-    _ema(state.v, config.beta2, idx, grad * grad, state.t)
+    _ema(state.v, config.beta2, idx, grad, state.t, state.delta, square=True)
 
     denom = np.sqrt(state.v, out=state.delta)
     denom += config.epsilon
@@ -236,5 +263,5 @@ def sgd_momentum_step(
         raise ValueError(f"beta1 must lie in [0, 1), got {beta1}")
     grad, idx = _check_grad(state, grad, coords)
     state.t += 1
-    _ema(state.m, beta1, idx, grad, state.t)
+    _ema(state.m, beta1, idx, grad, state.t, state.delta)
     return np.multiply(state.m, -lr, out=state.delta)

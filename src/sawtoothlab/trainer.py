@@ -165,6 +165,8 @@ class RunConfig:
         if not np.all(np.isfinite(self.x_init)):
             # the run would go on until a batch reached the coordinate, then flag DIVERGED
             raise ValueError("x_init must be finite")
+        if not np.isscalar(self.x_init) and np.shape(self.x_init) != (self.dim,):
+            raise ValueError(f"x_init must be a scalar or a length-{self.dim} vector")
         if not self.divergence_ceiling > 0:
             # inf is the way to ask for no ceiling; NaN would end every run at step 0
             raise ValueError(
@@ -241,15 +243,6 @@ class RunResult:
         return float(self.epoch_mean_loss[-1])
 
 
-def _initial_theta(config: RunConfig, dim: int) -> np.ndarray:
-    if np.isscalar(config.x_init):
-        return np.full(dim, float(config.x_init))
-    theta = np.array(config.x_init, dtype=float)
-    if theta.shape != (dim,):
-        raise ValueError(f"x_init must be a scalar or a length-{dim} vector")
-    return theta
-
-
 def _dot(arr: np.ndarray, coords, vals) -> float:
     """arr . g for a gradient in batch_loss_grad's (coords, vals) form.
 
@@ -276,7 +269,7 @@ def run(config: RunConfig) -> RunResult:
     problem = generate_quadratic(
         config.problem_seed, config.num_functions, config.dim
     )
-    theta = _initial_theta(config, problem.dim)
+    theta = np.full(problem.dim, config.x_init, dtype=float)
     state = OptimizerState.fresh(problem.dim)
     opt_config = config.adam_config()
     if config.optimizer == "adam":

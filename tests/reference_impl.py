@@ -2,10 +2,11 @@
 
 These are the straightforward versions: the trace CSV reader and writer and
 the epoch-metrics CSV writer that go cell by cell through the csv module,
-and the update-alignment fit that solves every active set at every shift.
-The package's own versions must give the same bytes (writers), the same
-columns, dtypes and probe flag (reader) and the same coefficients, R^2 and
-residual norm (fit).
+the update-alignment fit that solves every active set at every shift, and
+the Adam step that divides by both bias corrections on every step. The
+package's own versions must give the same bytes (writers), the same
+columns, dtypes and probe flag (reader), the same coefficients, R^2 and
+residual norm (fit) and the same update and moment bits (step).
 """
 
 from __future__ import annotations
@@ -24,6 +25,7 @@ from sawtoothlab.analysis import (
     _r_squared,
     window_average,
 )
+from sawtoothlab.optim import FLUSH_EVERY, MOMENT_FLOOR, AdamConfig, OptimizerState
 from sawtoothlab.trainer import PROBE_COLUMNS, TRACE_COLUMNS, Trace
 
 _INT_COLUMNS = ("epoch", "step", "global_step")
@@ -185,3 +187,39 @@ def fit_dot_dtheta(t, y, beta1: float, beta2: float, window: int | None = None) 
         degenerate=beta2 == 1.0,
         notes=tuple(notes),
     )
+
+
+def _ema(arr: np.ndarray, beta: float, idx, x, t: int) -> None:
+    arr *= beta
+    arr[idx] += (1.0 - beta) * x
+    if t % FLUSH_EVERY == 0:
+        mask = np.absolute(arr) < MOMENT_FLOOR
+        if mask.any():
+            arr[mask] = 0.0
+
+
+def adam_step(state: OptimizerState, config: AdamConfig, grad, theta=None, coords=None):
+    """One Adam step that always divides m by c1 and v by c2, even by 1.0."""
+    if coords is None:
+        grad, idx = np.asarray(grad, dtype=float), ...
+    else:
+        idx = coords
+    if config.weight_decay > 0.0:
+        full = config.weight_decay * np.asarray(theta, dtype=float)
+        full[idx] += grad
+        grad, idx = full, ...
+    b1, b2 = config.beta1, config.beta2
+    state.t += 1
+    _ema(state.m, b1, idx, grad, state.t)
+    _ema(state.v, b2, idx, grad * grad, state.t)
+    c1 = c2 = 1.0
+    if config.bias_correction:
+        c1 = 1.0 - b1 ** state.t
+        if b2 < 1.0:
+            c2 = 1.0 - b2 ** state.t
+    m_hat = state.m / c1
+    denom = np.sqrt(state.v / c2) + config.epsilon
+    delta = m_hat / denom
+    delta *= -config.lr
+    state.delta[...] = delta
+    return state.delta

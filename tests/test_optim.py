@@ -5,6 +5,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+import reference_impl
 from sawtoothlab.optim import (
     FLUSH_EVERY,
     MOMENT_FLOOR,
@@ -273,3 +274,82 @@ def test_sparse_step_allocates_no_dense_array(optimizer):
     assert delta is state.delta
     # one dense vector is 8 * dim = 800 KB; even a dense bool mask is 100 KB
     assert peak < 8 * dim // 100
+
+
+def test_dense_weight_decay_step_allocates_only_its_finiteness_mask():
+    # the decayed gradient, m's scaled input and g^2 all live in the state's
+    # buffers; the one dense temporary left is isfinite's bool mask (dim bytes)
+    dim = 40_000
+    cfg = AdamConfig(weight_decay=0.1)
+    state = OptimizerState.fresh(dim)
+    rng = np.random.default_rng(2)
+    grad = rng.normal(size=dim)
+    theta = rng.normal(size=dim)
+
+    adam_step(state, cfg, grad, theta)  # warm-up, off the measurement
+    tracemalloc.start()
+    try:
+        delta = adam_step(state, cfg, grad, theta)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert state.t % FLUSH_EVERY != 0
+    assert delta is state.delta
+    # one dense float vector is 8 * dim = 320 KB
+    assert peak < 8 * dim // 4
+
+
+def test_dense_step_reads_a_gradient_that_aliases_its_delta():
+    # the dense form scales its moment inputs in state.delta, so a gradient
+    # living there is copied before the first moment overwrites it
+    cfg = AdamConfig(lr=0.05)
+    rng = np.random.default_rng(9)
+    aliased, plain = OptimizerState.fresh(5), OptimizerState.fresh(5)
+    for _ in range(3):
+        g = rng.normal(size=5)
+        want = adam_step(plain, cfg, g).copy()
+        aliased.delta[:] = g
+        got = adam_step(aliased, cfg, aliased.delta)
+        np.testing.assert_array_equal(got, want)
+    np.testing.assert_array_equal(aliased.v, plain.v)
+
+
+@pytest.mark.parametrize("form", ["dense", "sparse"])
+@pytest.mark.parametrize("bias_correction", [True, False])
+@pytest.mark.parametrize("weight_decay", [0.0, 0.1])
+def test_adam_matches_the_always_dividing_step_bit_for_bit(form, bias_correction, weight_decay):
+    # a bias correction is skipped only once it is exactly 1.0, which at
+    # beta1 = 0.9 is from t = 356 on and at beta2 = 0.95 from t = 730 on;
+    # the int64 views tell -0.0 from 0.0, which array equality would not
+    cfg = AdamConfig(lr=0.05, beta1=0.9, beta2=0.95, weight_decay=weight_decay,
+                     bias_correction=bias_correction)
+    assert 1.0 - 0.9 ** 355 < 1.0 == 1.0 - 0.9 ** 356
+    assert 1.0 - 0.95 ** 729 < 1.0 == 1.0 - 0.95 ** 730
+    dim = 8
+    rng = np.random.default_rng(21)
+    got, want = OptimizerState.fresh(dim), OptimizerState.fresh(dim)
+    theta = rng.normal(size=dim)
+    sentinel = np.float64(-1234.5).view(np.int64)
+    for t in range(1, 801):
+        coords = np.sort(rng.choice(dim, size=1 + t % 3, replace=False))
+        vals = rng.normal(size=len(coords))
+        if t % 7 == 0:
+            vals[0] = -0.0
+        if form == "dense":
+            g = np.zeros(dim)
+            g[coords] = vals
+            args = (g, theta)
+        else:
+            args = (vals, theta, coords)
+        # without weight decay, temp is written only by the m / c1 pass
+        watch_temp = t >= 356 and weight_decay == 0.0
+        if watch_temp:
+            got.temp.view(np.int64)[:] = sentinel
+        delta = adam_step(got, cfg, *args)
+        ref = reference_impl.adam_step(want, cfg, *args)
+        assert got.t == want.t == t
+        for a, b in ((delta, ref), (got.m, want.m), (got.v, want.v)):
+            np.testing.assert_array_equal(a.view(np.int64), b.view(np.int64))
+        if watch_temp:
+            assert (got.temp.view(np.int64) == sentinel).all()
+        theta += delta

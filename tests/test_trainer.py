@@ -440,6 +440,10 @@ def test_config_validation():
     for x_init in (np.nan, np.inf, -np.inf, np.r_[np.ones(29), np.nan]):
         with pytest.raises(ValueError, match="x_init must be finite"):
             RunConfig(**{**SMALL, "x_init": x_init})
+    # a vector of the wrong shape used to fail only in run(), after the problem draw
+    for x_init in (np.ones(29), np.ones((2, 15))):
+        with pytest.raises(ValueError, match="x_init must be a scalar or a length-30 vector"):
+            RunConfig(**{**SMALL, "x_init": x_init})
     with pytest.raises(ValueError, match="divergence_ceiling must be positive, got nan"):
         RunConfig(**{**SMALL, "divergence_ceiling": np.nan})
     # an infinite ceiling is the way to ask for none
