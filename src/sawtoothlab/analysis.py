@@ -121,7 +121,7 @@ def _constrained_lstsq(
     nonneg: np.ndarray,
     solved: dict[int, tuple[np.ndarray, bool, float]],
 ) -> np.ndarray:
-    """OLS with selected coefficients constrained nonnegative.
+    """OLS with selected coefficients constrained nonnegative; with none, plain OLS.
 
     Enumerates active sets over the constrained columns (at most 2^3 here)
     and returns the feasible candidate with the smallest residual. Bit i of
@@ -156,9 +156,10 @@ class TraceModel:
 
     `basis(t, beta1, beta2)` returns one column per coefficient, in the
     order of `coeffs`. A model with a `shift` has one coefficient more: the
-    last one multiplies the column 1/(t + shift), and the shift runs over
-    HYPERBOLIC_SHIFT_GRID. An `unfold` coefficient stands for the product
-    slope * sqrt(1-beta2), and the fit reports that slope as well.
+    last one, which must be in `nonneg`, multiplies the column 1/(t + shift),
+    and the shift runs over HYPERBOLIC_SHIFT_GRID. An `unfold` coefficient
+    stands for the product slope * sqrt(1-beta2), and the fit reports that
+    slope as well.
     """
 
     coeffs: tuple[str, ...]
@@ -249,7 +250,7 @@ def fit_model(
     dropped = [spec.coeffs[i] for i in range(len(cols)) if i not in live]
     if dropped:
         notes.append(f"degenerate columns fixed at zero: {', '.join(dropped)}")
-    # the shifted column, when there is one, is always live and comes last
+    # the shifted column, when there is one, is always live, constrained and last
     slots = live + list(range(len(cols), len(spec.coeffs)))
     live_cols = [cols[i] for i in live]
     nonneg = np.array([spec.coeffs[i] in spec.nonneg for i in slots])
@@ -263,7 +264,7 @@ def fit_model(
     # a model without a shifted column is a grid of one design
     shifts = HYPERBOLIC_SHIFT_GRID if spec.shift is not None else (None,)
     solved = {}
-    if spec.shift is not None and nonneg[-1]:
+    if spec.shift is not None:
         # Active sets that clamp the shifted coefficient (the top mask bit)
         # never see the shifted column: their solution, feasibility and
         # residual are the same at every shift, so they are solved once, on
@@ -278,10 +279,7 @@ def fit_model(
     beta_live = None
     for shift in shifts:
         X_shift = design(shift)
-        if np.any(nonneg):
-            beta = _constrained_lstsq(X_shift, y, nonneg, solved)
-        else:
-            beta = np.linalg.lstsq(X_shift, y, rcond=None)[0]
+        beta = _constrained_lstsq(X_shift, y, nonneg, solved)
         res = float(np.sum((y - X_shift @ beta) ** 2))
         if beta_live is None or res < best_res - 1e-12 * max(1.0, best_res):
             best_res, beta_live, X, best_shift = res, beta, X_shift, shift

@@ -45,12 +45,13 @@ from .specfile import SpecError, load_spec, read_settings
 from .traceio import (
     read_trace_csv,
     render_line_chart_svg,
+    write_columns,
     write_epochs_csv,
     write_meta_json,
     write_trace_csv,
 )
 from .trainer import run as run_training
-from .trainer import oscillation_amplitude, run_toy
+from .trainer import RunConfig, oscillation_amplitude, run_toy
 
 MODELS = tuple(TRACE_MODELS)
 
@@ -130,6 +131,7 @@ def cmd_run(args) -> int:
         point_dir = out_dir if len(points) == 1 else out_dir / label
         jobs.append((label, config, str(point_dir), spec.emit, spec.window))
     if spec.workers > 1 and len(jobs) > 1:
+        import numpy.random  # noqa: F401 (the forked workers share it, not import it each)
         with ProcessPoolExecutor(max_workers=spec.workers) as pool:
             summaries = list(pool.map(_execute_point, jobs))
     else:
@@ -170,22 +172,19 @@ def cmd_fit(args) -> int:
     if len(t) < 2:
         print("error: not enough points left to fit", file=sys.stderr)
         return 2
-    if args.window > len(y):
-        print("error: averaging window longer than the series", file=sys.stderr)
-        return 2
 
-    beta1 = args.beta1
-    beta2 = args.beta2
+    beta1, beta2 = args.beta1, args.beta2
     if beta2 is None or (beta1 is None and model.needs_beta1):
         meta_path = Path(args.trace).with_name("meta.json")
         if meta_path.exists():
             with open(meta_path) as fh:
-                meta = json.load(fh)
-            conf = meta.get("config", {})
-            if beta1 is None:
-                beta1 = conf.get("beta1")
-            if beta2 is None:
-                beta2 = conf.get("beta2")
+                try:
+                    # the betas the run's stepper used: RMSProp's beta1 is 0
+                    stepper = RunConfig(**json.load(fh)["config"]).adam_config()
+                except (KeyError, TypeError) as exc:
+                    raise ValueError(f"{meta_path} does not hold a run config: {exc}") from None
+            beta1 = stepper.beta1 if beta1 is None else beta1
+            beta2 = stepper.beta2 if beta2 is None else beta2
     if beta2 is None:
         print("error: --beta2 is required (no meta.json next to the trace)", file=sys.stderr)
         return 2
@@ -210,11 +209,7 @@ def cmd_fit(args) -> int:
         writer.writerow(["beta2", "" if fit.beta2 is None else repr(float(fit.beta2))])
         writer.writerow(["degenerate", str(fit.degenerate).lower()])
         writer.writerow(["notes", "; ".join(fit.notes)])
-    with open(out_dir / f"overlay_{args.model}.csv", "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["t", "observed", "fitted"])
-        for ti, yi, fi in zip(t, y, fitted):
-            writer.writerow([repr(float(ti)), repr(float(yi)), repr(float(fi))])
+    write_columns(out_dir / f"overlay_{args.model}.csv", {"t": t, "observed": y, "fitted": fitted})
     if args.svg:
         render_line_chart_svg(
             out_dir / f"fit_{args.model}.svg",
@@ -297,13 +292,11 @@ def cmd_nshape(args) -> int:
         v_prev = np.array(DEMO_SECOND_MOMENT_PREV)
         g_squared = np.array(DEMO_GRAD_SQUARED)
     betas, cosines = nshape_sweep(grad, momentum, v_prev, g_squared)
+    if len(betas) == 0:
+        raise ValueError("every beta2 grid point has a zero denominator or a zero-norm vector")
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
-    with open(out_dir / "nshape.csv", "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["beta2", "cosine"])
-        for b, c in zip(betas, cosines):
-            writer.writerow([repr(float(b)), repr(float(c))])
+    write_columns(out_dir / "nshape.csv", {"beta2": betas, "cosine": cosines})
     if args.svg:
         render_line_chart_svg(
             out_dir / "nshape.svg",
@@ -312,13 +305,10 @@ def cmd_nshape(args) -> int:
             x_label="beta2",
             y_label="cosine",
         )
-    delta0 = nshape_delta(momentum, v_prev, g_squared, 0.0)
-    dot0 = float(np.dot(grad, delta0))
-    print(f"cosine at beta2=0: {cosines[0]:.6g}")
-    mid = int(np.argmin(np.abs(betas - 0.5)))
-    print(f"cosine at beta2={betas[mid]:g}: {cosines[mid]:.6g}")
-    print(f"cosine at beta2=1: {cosines[-1]:.6g}")
-    print(f"dot(grad, delta) at beta2=0: {dot0:.6g}")
+    for k in (0, int(np.argmin(np.abs(betas - 0.5))), -1):
+        print(f"cosine at beta2={betas[k]:g}: {cosines[k]:.6g}")
+    delta0 = nshape_delta(momentum, v_prev, g_squared, betas[0])
+    print(f"dot(grad, delta) at beta2={betas[0]:g}: {float(np.dot(grad, delta0)):.6g}")
     return 0
 
 

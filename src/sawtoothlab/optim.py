@@ -225,9 +225,9 @@ def rmsprop_step(
 ) -> np.ndarray:
     """Advance RMSProp by one step.
 
-    Identical to Adam with beta1 = 0 and bias correction disabled: the first
-    moment is left untouched and the raw gradient steers the update. The
-    update is ``state.delta``, valid until the state's next step.
+    Adam with beta1 = 0 and bias correction disabled, bit for bit in the dense
+    form (a sparse zero update can differ in sign): the raw gradient steers
+    the update. The update is ``state.delta``, valid until the next step.
     """
     grad, idx = _check_grad(state, grad, coords)
     state.t += 1

@@ -91,16 +91,6 @@ def generate_quadratic(seed: int, num_functions: int, dim: int) -> QuadraticProb
     )
 
 
-def _gather(problem: QuadraticProblem, indices: np.ndarray, x: np.ndarray):
-    j = problem.dim_index[indices]
-    return problem.a[indices], x[j] - problem.b[indices], problem.c[indices], j
-
-
-def _mean_loss(a, d, c) -> float:
-    # np.mean's bits without its dispatch overhead
-    return float((a * d ** 2 + c).sum() / len(a))
-
-
 def _sparse_grad(a, d, j, n: int) -> tuple[np.ndarray, np.ndarray]:
     # np.unique(j, return_inverse=True) at a third of its cost on a few members
     s = np.sort(j)
@@ -113,10 +103,7 @@ def _sparse_grad(a, d, j, n: int) -> tuple[np.ndarray, np.ndarray]:
 
 def batch_loss(problem: QuadraticProblem, batch: Batch, x: np.ndarray) -> float:
     """Mean loss of the batch members at x."""
-    if len(batch) == 0:
-        raise ValueError("batch must be nonempty")
-    a, d, c, _ = _gather(problem, batch.indices, x)
-    return _mean_loss(a, d, c)
+    return batch_loss_grad(problem, batch, x)[0]
 
 
 def batch_grad(problem: QuadraticProblem, batch: Batch, x: np.ndarray) -> np.ndarray:
@@ -135,14 +122,12 @@ def sparse_batch_grad(
     problem: QuadraticProblem, batch: Batch, x: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
     """(coords, values) form of batch_grad; coords are unique and sorted."""
-    if len(batch) == 0:
-        raise ValueError("batch must be nonempty")
-    a, d, _, j = _gather(problem, batch.indices, x)
-    return _sparse_grad(a, d, j, len(batch))
+    _, coords, vals = batch_loss_grad(problem, batch, x)
+    return np.atleast_1d(coords), np.atleast_1d(vals)
 
 
 def batch_loss_grad(problem: QuadraticProblem, batch: Batch, x: np.ndarray):
-    """(loss, coords, vals): batch_loss and sparse_batch_grad from one gather.
+    """(loss, coords, vals): the batch's mean loss and sparse gradient from one gather.
 
     A single-member batch gives an int coordinate and a float value by plain
     indexing, several times cheaper than a one-element gather; its loss and
@@ -157,8 +142,11 @@ def batch_loss_grad(problem: QuadraticProblem, batch: Batch, x: np.ndarray):
         return a * (d * d) + problem.c.item(i), j, 2.0 * a * d
     if len(indices) == 0:
         raise ValueError("batch must be nonempty")
-    a, d, c, j = _gather(problem, indices, x)
-    return _mean_loss(a, d, c), *_sparse_grad(a, d, j, len(indices))
+    j = problem.dim_index[indices]
+    a, d = problem.a[indices], x[j] - problem.b[indices]
+    # np.mean's bits without its dispatch overhead
+    loss = float((a * d ** 2 + problem.c[indices]).sum() / len(indices))
+    return loss, *_sparse_grad(a, d, j, len(indices))
 
 
 def full_loss(problem: QuadraticProblem, x: np.ndarray) -> float:

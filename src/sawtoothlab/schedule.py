@@ -58,7 +58,7 @@ class EpochSchedule:
         self.num_samples = num_samples
         self.batch_size = batch_size
         self.initial_shuffle = initial_shuffle
-        self.rng = np.random.default_rng(seed)
+        self._seed = seed
         self.epoch = 0
         self._order: np.ndarray | None = None
         self._batches: list[Batch] = []
@@ -72,6 +72,9 @@ class EpochSchedule:
         return self._order[::-1].copy() if self.policy == "reverse" else self._order
 
     def _begin_epoch(self) -> None:
+        if self.epoch == 0:
+            # made at the first draw: a schedule built to check a config imports no numpy.random
+            self.rng = np.random.default_rng(self._seed)
         self.epoch += 1
         n, b = self.num_samples, self.batch_size
         count = batches_per_epoch(n, b)

@@ -34,6 +34,7 @@ from .analysis import EspMetrics
 from .trainer import PROBE_COLUMNS, TRACE_COLUMNS, TRACE_DTYPE, Trace
 
 __all__ = [
+    "write_columns",
     "write_trace_csv",
     "read_trace_csv",
     "write_epochs_csv",
@@ -47,27 +48,37 @@ __all__ = [
 _WRITE_CHUNK_ROWS = 256
 
 
-def _render_float(x: float) -> str:
-    return repr(float(x))
+def write_columns(path, columns: dict, blank_nan=()) -> None:
+    r"""Write equal-length columns under a header of their names.
+
+    Int columns are rendered with str and every other column with repr of
+    float64; a NaN cell is left empty in the columns named in blank_nan.
+    Lines end in \r\n, byte for byte what csv.writer emits for these cells.
+    """
+    arrays = {name: np.asarray(col) for name, col in columns.items()}
+    # csv.writer quotes the cell of a one-column row that is empty
+    empty = '""' if len(arrays) == 1 else ""
+    with open(path, "w", newline="") as fh:
+        fh.write(",".join(arrays) + "\r\n")
+        for start in range(0, len(next(iter(arrays.values()), ())), _WRITE_CHUNK_ROWS):
+            cells = []
+            for name, col in arrays.items():
+                col = col[start : start + _WRITE_CHUNK_ROWS]
+                if col.dtype.kind in "iu":
+                    cells.append(map(str, col.tolist()))
+                    continue
+                text = list(map(repr, col.astype(np.float64, copy=False).tolist()))
+                if name in blank_nan:
+                    for i in np.flatnonzero(np.isnan(col)).tolist():
+                        text[i] = empty
+                cells.append(text)
+            fh.write("\r\n".join(map(",".join, zip(*cells))) + "\r\n")
 
 
 def write_trace_csv(trace: Trace, path) -> None:
     """Write a trace in the dialect above, byte for byte what csv.writer emits."""
-    with open(path, "w", newline="") as fh:
-        fh.write(",".join(TRACE_COLUMNS) + "\r\n")
-        for start in range(0, len(trace), _WRITE_CHUNK_ROWS):
-            cells = []
-            for name in TRACE_COLUMNS:
-                col = getattr(trace, name)[start : start + _WRITE_CHUNK_ROWS]
-                if TRACE_DTYPE[name].kind == "i":
-                    cells.append(map(str, col.astype(np.int64, copy=False).tolist()))
-                    continue
-                text = list(map(repr, col.astype(np.float64, copy=False).tolist()))
-                if name in PROBE_COLUMNS:
-                    for i in np.flatnonzero(np.isnan(col)).tolist():
-                        text[i] = ""
-                cells.append(text)
-            fh.write("\r\n".join(map(",".join, zip(*cells))) + "\r\n")
+    columns = {name: getattr(trace, name) for name in TRACE_COLUMNS}
+    write_columns(path, columns, blank_nan=PROBE_COLUMNS)
 
 
 def _filled_lines(fh):
@@ -104,19 +115,13 @@ def read_trace_csv(path) -> Trace:
 
 
 def write_epochs_csv(metrics: list[EspMetrics], path) -> None:
-    """One row per epoch: the EspMetrics fields in declaration order.
-
-    Floats are rendered with repr and everything else with str, byte for
-    byte what csv.writer emits for these rows.
-    """
+    """One row per epoch: the EspMetrics fields in declaration order, typed by annotation."""
     hints = get_type_hints(EspMetrics)
-    render = {
-        f.name: _render_float if hints[f.name] is float else str for f in fields(EspMetrics)
+    columns = {
+        f.name: np.array([getattr(m, f.name) for m in metrics], dtype=hints[f.name])
+        for f in fields(EspMetrics)
     }
-    with open(path, "w", newline="") as fh:
-        fh.write(",".join(render) + "\r\n")
-        for m in metrics:
-            fh.write(",".join(fmt(getattr(m, name)) for name, fmt in render.items()) + "\r\n")
+    write_columns(path, columns)
 
 
 def _plain(value):

@@ -1,12 +1,15 @@
 """Row-loop reference implementations that the columnar code is checked against.
 
-These are the straightforward versions: the trace CSV reader and writer and
-the epoch-metrics CSV writer that go cell by cell through the csv module,
-the update-alignment fit that solves every active set at every shift, and
-the Adam step that divides by both bias corrections on every step. The
+These are the straightforward versions: the trace CSV reader and the
+table writers (trace, epoch metrics, fit overlay, nshape sweep and any
+int/float column table) that go cell by cell through the csv module, the
+update-alignment fit that solves every active set at every shift, the Adam
+step that divides by both bias corrections on every step, and the batch
+loss and sparse gradient that each gather the batch themselves. The
 package's own versions must give the same bytes (writers), the same
 columns, dtypes and probe flag (reader), the same coefficients, R^2 and
-residual norm (fit) and the same update and moment bits (step).
+residual norm (fit), the same update and moment bits (step) and the same
+loss, coordinate and value bits (batch).
 """
 
 from __future__ import annotations
@@ -29,6 +32,68 @@ from sawtoothlab.optim import FLUSH_EVERY, MOMENT_FLOOR, AdamConfig, OptimizerSt
 from sawtoothlab.trainer import PROBE_COLUMNS, TRACE_COLUMNS, Trace
 
 _INT_COLUMNS = ("epoch", "step", "global_step")
+
+
+def _gather(problem, indices, x):
+    j = problem.dim_index[indices]
+    return problem.a[indices], x[j] - problem.b[indices], problem.c[indices], j
+
+
+def _mean_loss(a, d, c) -> float:
+    return float((a * d ** 2 + c).sum() / len(a))
+
+
+def batch_loss(problem, batch, x) -> float:
+    if len(batch) == 0:
+        raise ValueError("batch must be nonempty")
+    a, d, c, _ = _gather(problem, batch.indices, x)
+    return _mean_loss(a, d, c)
+
+
+def sparse_batch_grad(problem, batch, x):
+    if len(batch) == 0:
+        raise ValueError("batch must be nonempty")
+    a, d, _, j = _gather(problem, batch.indices, x)
+    coords, inverse = np.unique(j, return_inverse=True)
+    vals = np.zeros(len(coords))
+    np.add.at(vals, inverse, 2.0 * a * d)
+    vals /= len(batch)
+    return coords, vals
+
+
+def write_columns(path, columns: dict, blank_nan=()) -> None:
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(list(columns))
+        cols = [np.asarray(col) for col in columns.values()]
+        blank = [name in blank_nan for name in columns]
+        for i in range(len(cols[0]) if cols else 0):
+            row = []
+            for col, is_blank in zip(cols, blank):
+                x = col[i]
+                if np.issubdtype(col.dtype, np.integer):
+                    row.append(str(int(x)))
+                elif is_blank and math.isnan(x):
+                    row.append("")
+                else:
+                    row.append(repr(float(x)))
+            writer.writerow(row)
+
+
+def write_overlay_csv(path, t, y, fitted) -> None:
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["t", "observed", "fitted"])
+        for ti, yi, fi in zip(t, y, fitted):
+            writer.writerow([repr(float(ti)), repr(float(yi)), repr(float(fi))])
+
+
+def write_nshape_csv(path, betas, cosines) -> None:
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["beta2", "cosine"])
+        for b, c in zip(betas, cosines):
+            writer.writerow([repr(float(b)), repr(float(c))])
 
 
 def write_trace_csv(trace: Trace, path) -> None:

@@ -13,6 +13,7 @@ from sawtoothlab.analysis import (
     DEMO_MOMENTUM,
     DEMO_SECOND_MOMENT_PREV,
     DEMO_TRACKED_GRAD,
+    TRACE_MODELS,
     FitResult,
     esp_metrics,
     evaluate_fit,
@@ -20,6 +21,7 @@ from sawtoothlab.analysis import (
     fit_dot_m,
     fit_g_norm,
     fit_m_norm,
+    fit_model,
     fit_v_norm,
     nshape_delta,
     nshape_sweep,
@@ -376,6 +378,27 @@ def test_unconstrained_fit_matches_lstsq():
     assert fit.coeffs["offset"] == pytest.approx(ref[0], rel=1e-9)
     assert fit.coeffs["slope"] == pytest.approx(ref[1], rel=1e-9)
     assert fit.residual_norm ** 2 == pytest.approx(float(res[0]), rel=1e-9)
+
+
+@pytest.mark.parametrize("model", ["g_norm", "m_norm", "v_norm"])
+def test_unconstrained_models_take_the_plain_lstsq_bits(model):
+    # no nonnegative coefficient: the one active set keeps every column
+    spec = TRACE_MODELS[model]
+    assert not spec.nonneg
+    t = np.arange(120, dtype=float)
+    y = np.random.default_rng(3).normal(size=120).cumsum()
+    fit = fit_model(model, t, y, 0.9, 0.95)
+    X = np.column_stack(spec.basis(t, 0.9 if spec.needs_beta1 else None, 0.95))
+    ref = np.linalg.lstsq(X, y, rcond=None)[0]
+    got = np.array([fit.coeffs[name] for name in spec.coeffs])
+    np.testing.assert_array_equal(got.view(np.int64), ref.view(np.int64))
+
+
+def test_every_shifted_coefficient_is_constrained():
+    # fit_model solves the active sets that clamp it once for the whole grid
+    for spec in TRACE_MODELS.values():
+        if spec.shift is not None:
+            assert spec.coeffs[-1] in spec.nonneg
 
 
 def test_windowed_fit_recovers_raw_coefficients():

@@ -1,16 +1,24 @@
 """Command-line front end, exercised in-process through main()."""
 
 import json
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import reference_impl
 from sawtoothlab.analysis import (
     DEMO_GRAD_SQUARED,
     DEMO_MOMENTUM,
     DEMO_SECOND_MOMENT_PREV,
     DEMO_TRACKED_GRAD,
+    evaluate_fit,
+    fit_model,
+    nshape_sweep,
 )
 from sawtoothlab.cli import _resolve_spec_path, main
 from sawtoothlab.specfile import load_spec
@@ -219,7 +227,8 @@ def test_fit_error_paths(tiny_run, tmp_path, capsys):
     assert main(["fit", trace, "--model", "g_norm", "--epoch", "7"]) == 2
     assert "no rows" in capsys.readouterr().err
     assert main(["fit", trace, "--model", "g_norm", "--epoch", "2", "--window", "99"]) == 2
-    assert "window longer" in capsys.readouterr().err
+    # fit_model's own check: the 40-step epoch is shorter than the window
+    assert "error: window 99 exceeds series length 40" in capsys.readouterr().err
     # a window below 1 is an error, not a request for no smoothing
     for window in ("0", "-7"):
         assert main(["fit", trace, "--model", "g_norm", "--epoch", "2", "--window", window]) == 2
@@ -245,6 +254,73 @@ def test_fit_error_paths(tiny_run, tmp_path, capsys):
     assert not (bare / "fit_m_norm.csv").exists()
     assert main(m_norm + ["--beta1", "0.8"]) == 0
     assert "beta1,0.8" in (bare / "fit_m_norm.csv").read_text().splitlines()
+
+
+def test_fit_on_an_rmsprop_trace_takes_the_stepper_betas(tmp_path):
+    # RMSProp's stepper runs with beta1 = 0 whatever the config's beta1
+    # says, so the fitted decay column vanishes; an explicit --beta1 wins
+    spec = tmp_path / "rmsprop.spec"
+    spec.write_text(TINY_SPEC + "optimizer = rmsprop\nbeta2 = 0.95\n")
+    out = tmp_path / "out"
+    assert main(["run", str(spec), "--out", str(out)]) == 0
+    assert json.loads((out / "meta.json").read_text())["config"]["beta1"] == 0.9
+    fit = ["fit", str(out / "trace.csv"), "--model", "dot_dtheta", "--epoch", "2"]
+    assert main(fit) == 0
+    lines = (out / "fit_dot_dtheta.csv").read_text().splitlines()
+    for expected in ("beta1,0.0", "beta2,0.95", "degenerate,true", "decay_amp,0.0"):
+        assert expected in lines
+    assert main(fit + ["--beta1", "0.5"]) == 0
+    assert "beta1,0.5" in (out / "fit_dot_dtheta.csv").read_text().splitlines()
+
+
+def test_fit_reads_the_run_config_without_importing_numpy_random(tiny_run):
+    # building the schedule to check the config draws nothing, so a fit
+    # keeps numpy.random's 5 MB of extension modules out of its peak RSS
+    code = (
+        "import sys\n"
+        "from sawtoothlab.cli import main\n"
+        f"assert main(['fit', {str(tiny_run / 'trace.csv')!r}, '--model', 'dot_m', '--epoch', '2']) == 0\n"
+        "assert 'numpy.random' not in sys.modules\n"
+    )
+    pythonpath = os.pathsep.join(filter(None, ["src", os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", code], cwd=Path(__file__).resolve().parents[1],
+        env={**os.environ, "PYTHONPATH": pythonpath}, capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+
+
+@pytest.mark.parametrize(
+    "meta, message",
+    [
+        ({"label": "no config"}, "'config'"),
+        ({"config": {"beta2": 0.99, "momentum": 0.9}}, "unexpected keyword argument 'momentum'"),
+        ({"config": [0.9, 0.999]}, "must be a mapping"),
+        ({"config": {"beta2": 1.5}}, "beta2 must lie in [0, 1]"),
+    ],
+)
+def test_fit_rejects_a_meta_json_without_a_run_config(tiny_run, tmp_path, capsys, meta, message):
+    run_dir = tmp_path / "copy"
+    run_dir.mkdir()
+    (run_dir / "trace.csv").write_bytes((tiny_run / "trace.csv").read_bytes())
+    (run_dir / "meta.json").write_text(json.dumps(meta))
+    assert main(["fit", str(run_dir / "trace.csv"), "--model", "g_norm", "--epoch", "2"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and message in err
+    assert sorted(p.name for p in run_dir.iterdir()) == ["meta.json", "trace.csv"]
+
+
+def test_fit_overlay_matches_the_csv_module_loop(tiny_run, tmp_path):
+    trace = read_trace_csv(tiny_run / "trace.csv")
+    rows = trace.epoch_rows(2)
+    t, y = trace.step[rows].astype(float), trace.v_norm[rows]
+    assert main(["fit", str(tiny_run / "trace.csv"), "--model", "v_norm", "--epoch", "2",
+                 "--window", "3", "--beta2", "0.98"]) == 0
+    fitted = evaluate_fit(fit_model("v_norm", t, y, None, 0.98, window=3), t)
+    reference_impl.write_overlay_csv(tmp_path / "reference.csv", t, y, fitted)
+    assert (tiny_run / "overlay_v_norm.csv").read_bytes() == (
+        tmp_path / "reference.csv"
+    ).read_bytes()
 
 
 def test_fit_rejects_an_unprobed_column_and_an_empty_step_range(tmp_path, capsys):
@@ -323,6 +399,58 @@ def test_nshape_command(tmp_path, capsys):
     assert rows[0] == "beta2,cosine"
     assert len(rows) == 1 + 101
     assert (out / "nshape.svg").exists()
+
+
+def test_nshape_demo_lines_and_table(tmp_path, capsys):
+    assert main(["nshape", "--out", str(tmp_path / "n")]) == 0
+    assert capsys.readouterr().out.splitlines() == [
+        "cosine at beta2=0: -0.641146",
+        "cosine at beta2=0.5: 0.346005",
+        "cosine at beta2=1: -0.292341",
+        "dot(grad, delta) at beta2=0: -385",
+    ]
+    betas, cosines = nshape_sweep(
+        DEMO_TRACKED_GRAD, DEMO_MOMENTUM, DEMO_SECOND_MOMENT_PREV, DEMO_GRAD_SQUARED
+    )
+    reference_impl.write_nshape_csv(tmp_path / "reference.csv", betas, cosines)
+    assert (tmp_path / "n" / "nshape.csv").read_bytes() == (
+        tmp_path / "reference.csv"
+    ).read_bytes()
+
+
+def _nshape_vectors(tmp_path, grad, second_moment_prev, grad_squared):
+    vecs = tmp_path / "vectors.txt"
+    vecs.write_text(
+        f"grad = {grad}\nmomentum = -1, 1, 2\n"
+        f"second_moment_prev = {second_moment_prev}\ngrad_squared = {grad_squared}\n"
+    )
+    return ["nshape", "--vectors", str(vecs), "--out", str(tmp_path / "n")]
+
+
+def test_nshape_labels_each_cosine_with_its_own_beta2(tmp_path, capsys):
+    # beta2 = 1 divides by the zero second moment, so the last point is 0.99
+    assert main(_nshape_vectors(tmp_path, "1, 2, 3", "1, 0, 1", "1, 1, 1")) == 0
+    lines = capsys.readouterr().out.splitlines()
+    table = np.loadtxt(tmp_path / "n" / "nshape.csv", delimiter=",", skiprows=1)
+    assert table[-1, 0] == 0.99
+    assert lines[2] == f"cosine at beta2=0.99: {table[-1, 1]:.6g}"
+    assert lines[0] == f"cosine at beta2=0: {table[0, 1]:.6g}"
+
+
+def test_nshape_dot_line_takes_the_first_kept_beta2(tmp_path, capsys):
+    # zero squared gradients: beta2 = 0 has a zero denominator and is skipped
+    assert main(_nshape_vectors(tmp_path, "1, 2, 3", "1, 1, 1", "0, 0, 0")) == 0
+    lines = capsys.readouterr().out.splitlines()
+    # at beta2 = 0.01 the update is -m / sqrt(0.01): dot((1, 2, 3), -(-1, 1, 2) / 0.1)
+    assert lines[0].startswith("cosine at beta2=0.01: ")
+    assert lines[-1] == "dot(grad, delta) at beta2=0.01: -70"
+
+
+def test_nshape_with_no_grid_point_left_writes_nothing(tmp_path, capsys):
+    # a zero gradient has no cosine at any beta2
+    assert main(_nshape_vectors(tmp_path, "0, 0, 0", "1, 0, 1", "1, 1, 1")) == 2
+    assert capsys.readouterr().err.startswith("error: every beta2 grid point")
+    assert not (tmp_path / "n").exists()
 
 
 def test_nshape_custom_vectors(tmp_path, capsys):

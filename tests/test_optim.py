@@ -149,7 +149,12 @@ def test_sgd_momentum_hand_values():
 
 
 def test_adam_reduces_to_rmsprop():
-    """beta1=0 without bias correction must be bit-equal to RMSProp."""
+    """beta1=0 without bias correction gives RMSProp's step.
+
+    Bit for bit in the dense form. In the sparse form the updates are equal
+    in value: Adam's m *= 0 leaves -0.0 on a coordinate the batch missed
+    where m was negative, so such a zero update can differ in sign.
+    """
     cfg = AdamConfig(lr=0.03, beta1=0.0, beta2=0.97, epsilon=1e-8, bias_correction=False)
     sa = OptimizerState.fresh(8)
     sr = OptimizerState.fresh(8)
@@ -158,8 +163,17 @@ def test_adam_reduces_to_rmsprop():
         g = rng.normal(size=8)
         da = adam_step(sa, cfg, g)
         dr = rmsprop_step(sr, cfg, g)
+        np.testing.assert_array_equal(da.view(np.int64), dr.view(np.int64))
+    np.testing.assert_array_equal(sa.v.view(np.int64), sr.v.view(np.int64))
+    sa = OptimizerState.fresh(8)
+    sr = OptimizerState.fresh(8)
+    for _ in range(200):
+        coords = np.sort(rng.choice(8, size=3, replace=False))
+        g = rng.normal(size=3)
+        da = adam_step(sa, cfg, g, coords=coords)
+        dr = rmsprop_step(sr, cfg, g, coords=coords)
         np.testing.assert_array_equal(da, dr)
-    np.testing.assert_array_equal(sa.v, sr.v)
+    np.testing.assert_array_equal(sa.v.view(np.int64), sr.v.view(np.int64))
 
 
 def test_determinism_bitwise():

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+import reference_impl
 from sawtoothlab.problem import (
     Batch,
     QuadraticProblem,
@@ -126,23 +127,46 @@ def test_full_loss_golden_fixtures():
     assert full_loss(q, np.full(2000, 3.0)) == pytest.approx(GOLDEN_REDUCED, rel=1e-12)
 
 
+def _bits(x) -> np.ndarray:
+    return np.asarray(x, dtype=np.float64).view(np.int64)
+
+
 def test_batch_loss_grad_matches_separate_calls():
-    # one gather gives the same bits as batch_loss plus sparse_batch_grad;
-    # a single member comes back as a scalar coordinate and value
+    # one gather gives the same bits as the reference batch loss and sparse
+    # gradient, which gather separately; a single member comes back as a
+    # scalar coordinate and value
     p = generate_quadratic(9, 40, 8)
     x = np.random.default_rng(2).normal(size=8)
     for indices in ([7], [3, 11], [0, 5, 9, 13, 21, 22, 30, 39], [4, 4, 4]):
         batch = Batch(np.array(indices))
         loss, coords, vals = batch_loss_grad(p, batch, x)
-        tc, tv = sparse_batch_grad(p, batch, x)
-        assert loss == batch_loss(p, batch, x)
+        tc, tv = reference_impl.sparse_batch_grad(p, batch, x)
+        assert _bits(loss) == _bits(reference_impl.batch_loss(p, batch, x))
         if len(indices) == 1:
             assert np.ndim(coords) == 0 and np.ndim(vals) == 0
             coords, vals = np.array([coords]), np.array([vals])
         np.testing.assert_array_equal(coords, tc)
-        np.testing.assert_array_equal(vals, tv)
+        np.testing.assert_array_equal(_bits(vals), _bits(tv))
     with pytest.raises(ValueError):
         batch_loss_grad(p, Batch(np.array([], dtype=np.int64)), x)
+
+
+def test_batch_loss_and_sparse_batch_grad_match_the_reference_bits():
+    # both read batch_loss_grad; a single member still comes back as arrays
+    p = generate_quadratic(3, 50, 12)
+    rng = np.random.default_rng(4)
+    x = rng.normal(size=12)
+    for size in (1, 2, 5, 16, 50):
+        batch = Batch(rng.integers(0, 50, size=size))
+        assert _bits(batch_loss(p, batch, x)) == _bits(reference_impl.batch_loss(p, batch, x))
+        coords, vals = sparse_batch_grad(p, batch, x)
+        tc, tv = reference_impl.sparse_batch_grad(p, batch, x)
+        assert coords.dtype == tc.dtype and coords.shape == tc.shape
+        np.testing.assert_array_equal(coords, tc)
+        np.testing.assert_array_equal(_bits(vals), _bits(tv))
+    for f in (batch_loss, sparse_batch_grad):
+        with pytest.raises(ValueError):
+            f(p, Batch(np.array([], dtype=np.int64)), x)
 
 
 def test_coefficient_columns_are_contiguous_views():

@@ -16,6 +16,7 @@ from sawtoothlab.trainer import PROBE_COLUMNS, TRACE_COLUMNS, RunConfig, Trace, 
 from sawtoothlab.traceio import (
     read_trace_csv,
     render_line_chart_svg,
+    write_columns,
     write_epochs_csv,
     write_meta_json,
     write_trace_csv,
@@ -257,6 +258,61 @@ def test_run_epochs_csv_matches_reference(small_result, tmp_path):
     write_epochs_csv(metrics, tmp_path / "new.csv")
     reference_impl.write_epochs_csv(metrics, tmp_path / "reference.csv")
     assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "reference.csv").read_bytes()
+
+
+def _column(draw, n: int, values) -> np.ndarray:
+    # a drawn pool of values repeated to length n, so a table can span
+    # several write chunks without drawing every cell
+    pool = draw(st.lists(values, min_size=1, max_size=8))
+    return np.resize(np.array(pool, dtype=np.int64 if values is _INTS else np.float64), n)
+
+
+@st.composite
+def _tables(draw):
+    n = draw(st.one_of(st.integers(0, 4), st.integers(250, 520)))
+    names = draw(st.lists(st.text("abcxyz_", min_size=1, max_size=5), min_size=1,
+                          max_size=4, unique=True))
+    columns = {name: _column(draw, n, draw(st.sampled_from((_INTS, _FLOATS)))) for name in names}
+    return columns, tuple(draw(st.sets(st.sampled_from(names))))
+
+
+@settings(max_examples=150, deadline=None)
+@given(_tables())
+def test_write_columns_matches_the_csv_module(table):
+    # int and float columns, zero to several chunks of rows, NaN blanking
+    # on any subset of the columns (one column included, where csv quotes)
+    columns, blank_nan = table
+    with tempfile.TemporaryDirectory() as tmp:
+        written, expected = Path(tmp) / "new.csv", Path(tmp) / "reference.csv"
+        write_columns(written, columns, blank_nan)
+        reference_impl.write_columns(expected, columns, blank_nan)
+        assert written.read_bytes() == expected.read_bytes()
+
+
+@pytest.mark.parametrize("blank_nan", [(), ("x",), ("x", "k")])
+def test_write_columns_special_values(tmp_path, blank_nan):
+    floats = np.array(SPECIAL_FLOATS)
+    ints = np.resize(np.array([-(2 ** 63), -1, 0, 7, 2 ** 63 - 1]), len(floats))
+    for columns in ({"k": ints, "x": floats}, {"x": floats}, {"k": ints[:0], "x": floats[:0]}):
+        write_columns(tmp_path / "new.csv", columns, blank_nan)
+        reference_impl.write_columns(tmp_path / "reference.csv", columns, blank_nan)
+        assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "reference.csv").read_bytes()
+    assert (tmp_path / "new.csv").read_bytes() == b"k,x\r\n"
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_overlay_and_nshape_tables_match_their_csv_module_loops(data):
+    n = data.draw(st.integers(0, 300))
+    t, y, fitted = (_column(data.draw, n, _FLOATS) for _ in range(3))
+    with tempfile.TemporaryDirectory() as tmp:
+        written, expected = Path(tmp) / "new.csv", Path(tmp) / "reference.csv"
+        write_columns(written, {"t": t, "observed": y, "fitted": fitted})
+        reference_impl.write_overlay_csv(expected, t, y, fitted)
+        assert written.read_bytes() == expected.read_bytes()
+        write_columns(written, {"beta2": t, "cosine": y})
+        reference_impl.write_nshape_csv(expected, t, y)
+        assert written.read_bytes() == expected.read_bytes()
 
 
 def test_meta_json_stable_and_plain(tmp_path):
