@@ -18,7 +18,8 @@ each basis once, under the name of the trace column it is fitted to:
 
 Nonnegativity is enforced by active-set enumeration: every subset of the
 constrained columns is clamped to zero in turn and the best feasible
-ordinary-least-squares solution wins.
+ordinary-least-squares solution wins. The active sets that clamp the
+shifted coefficient do not depend on the shift and are solved once per fit.
 """
 
 from __future__ import annotations
@@ -92,57 +93,38 @@ def _r_squared(y: np.ndarray, pred: np.ndarray) -> float:
     return 1.0 - ss_res / ss_tot
 
 
-def _solve_active_set(
-    X: np.ndarray, y: np.ndarray, constrained: np.ndarray, zeroed: list[int]
-) -> tuple[np.ndarray, bool, float]:
-    """OLS with the `zeroed` columns clamped to zero.
-
-    Returns the coefficients, whether every constrained one is nonnegative,
-    and the residual sum of squares (inf when infeasible).
-    """
-    ncols = X.shape[1]
-    keep = [j for j in range(ncols) if j not in zeroed]
-    beta = np.zeros(ncols)
-    if keep:
-        sol, *_ = np.linalg.lstsq(X[:, keep], y, rcond=None)
-        beta[keep] = sol
-    if np.any(beta[constrained] < 0):
-        return beta, False, np.inf
-    return beta, True, float(np.sum((y - X @ beta) ** 2))
-
-
-def _zeroed_columns(constrained: np.ndarray, mask: int) -> list[int]:
-    return [constrained[i] for i in range(len(constrained)) if mask >> i & 1]
-
-
-def _constrained_lstsq(
-    X: np.ndarray,
-    y: np.ndarray,
-    nonneg: np.ndarray,
-    solved: dict[int, tuple[np.ndarray, bool, float]],
-) -> np.ndarray:
+def _constrained_lstsq(X, y, nonneg, shared: dict) -> tuple[np.ndarray, float]:
     """OLS with selected coefficients constrained nonnegative; with none, plain OLS.
 
-    Enumerates active sets over the constrained columns (at most 2^3 here)
-    and returns the feasible candidate with the smallest residual. Bit i of
-    an active-set mask clamps the i-th constrained column; `solved` maps
-    masks to results the caller has already computed for this X and y.
+    Enumerates active sets over the constrained columns (at most 2^3 here),
+    bit i of a mask clamping the i-th constrained column to zero, and
+    returns (beta, residual sum of squares) of the feasible candidate with
+    the smallest residual. Candidates that clamp the last constrained column
+    never read it, so they are kept in `shared`: calls that pass one dict
+    and differ only in that column solve them once.
     """
-    constrained = np.flatnonzero(nonneg)
+    constrained = np.flatnonzero(nonneg).tolist()
+    top = 1 << len(constrained) >> 1  # the bit of the last constrained column
     best = None
-    best_res = np.inf
     for mask in range(1 << len(constrained)):
-        if mask in solved:
-            beta, feasible, res = solved[mask]
+        if mask & top and mask in shared:
+            candidate = shared[mask]
         else:
-            zeroed = _zeroed_columns(constrained, mask)
-            beta, feasible, res = _solve_active_set(X, y, constrained, zeroed)
-        if not feasible:
-            continue
-        if best is None or res < best_res - 1e-12 * max(1.0, best_res):
-            best_res = res
-            best = beta
-    assert best is not None  # the all-zeroed candidate is always feasible
+            zeroed = [c for i, c in enumerate(constrained) if mask >> i & 1]
+            keep = [j for j in range(X.shape[1]) if j not in zeroed]
+            beta = np.zeros(X.shape[1])
+            if keep:
+                beta[keep] = np.linalg.lstsq(X[:, keep], y, rcond=None)[0]
+            # an infeasible candidate is None; the all-zeroed one is always feasible
+            candidate = None
+            if not np.any(beta[constrained] < 0):
+                candidate = beta, float(np.sum((y - X @ beta) ** 2))
+            if mask & top:
+                shared[mask] = candidate
+        if candidate is not None and (
+            best is None or candidate[1] < best[1] - 1e-12 * max(1.0, best[1])
+        ):
+            best = candidate
     return best
 
 
@@ -218,12 +200,13 @@ def fit_model(
 ) -> FitResult:
     """Fit one of TRACE_MODELS to a series by (constrained) least squares.
 
-    Columns that vanish are fixed at zero and flag the fit degenerate. A
-    window smooths the series before fitting. Because the model is linear
-    in its coefficients, the same moving average is applied to every basis
-    column, so the fitted coefficients still describe the raw-step model
-    while the residual is scored against the smoothed series. A shifted
-    column is fitted at every grid shift; ties prefer the smallest shift.
+    Columns that vanish are fixed at zero and flag the fit degenerate, as
+    does a constant (smoothed) series. A window smooths the series before
+    fitting. Because the model is linear in its coefficients, the same
+    moving average is applied to every basis column, so the fitted
+    coefficients still describe the raw-step model while the residual is
+    scored against the smoothed series. A shifted column is fitted at every
+    grid shift; ties prefer the smallest shift.
     """
     spec = _trace_model(model)
     t, y = _as_series(t, y)
@@ -245,6 +228,9 @@ def fit_model(
         y = window_average(y, window)
         cols = [window_average(col, window) for col in cols]
         notes.append(f"fit on window-{window} moving averages")
+    constant = bool(np.all(y == y[0]))
+    if constant:
+        notes.append("the series is constant, so r_squared says nothing")
     scale = np.sqrt(len(y))
     live = [i for i, col in enumerate(cols) if np.linalg.norm(col) > 1e-12 * scale]
     dropped = [spec.coeffs[i] for i in range(len(cols)) if i not in live]
@@ -263,24 +249,11 @@ def fit_model(
 
     # a model without a shifted column is a grid of one design
     shifts = HYPERBOLIC_SHIFT_GRID if spec.shift is not None else (None,)
-    solved = {}
-    if spec.shift is not None:
-        # Active sets that clamp the shifted coefficient (the top mask bit)
-        # never see the shifted column: their solution, feasibility and
-        # residual are the same at every shift, so they are solved once, on
-        # the first shift's design.
-        constrained = np.flatnonzero(nonneg)
-        X0 = design(shifts[0])
-        top = 1 << (len(constrained) - 1)
-        solved = {
-            mask: _solve_active_set(X0, y, constrained, _zeroed_columns(constrained, mask))
-            for mask in range(top, 2 * top)
-        }
+    shared = {}
     beta_live = None
     for shift in shifts:
         X_shift = design(shift)
-        beta = _constrained_lstsq(X_shift, y, nonneg, solved)
-        res = float(np.sum((y - X_shift @ beta) ** 2))
+        beta, res = _constrained_lstsq(X_shift, y, nonneg, shared)
         if beta_live is None or res < best_res - 1e-12 * max(1.0, best_res):
             best_res, beta_live, X, best_shift = res, beta, X_shift, shift
     if spec.shift is not None:
@@ -307,7 +280,7 @@ def fit_model(
         residual_norm=float(np.linalg.norm(y - pred)),
         beta1=beta1,
         beta2=beta2,
-        degenerate=bool(dropped or rank < X.shape[1] or no_slope),
+        degenerate=bool(dropped or rank < X.shape[1] or no_slope or constant),
         notes=tuple(notes),
     )
 

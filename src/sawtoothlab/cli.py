@@ -174,19 +174,25 @@ def cmd_fit(args) -> int:
         return 2
 
     beta1, beta2 = args.beta1, args.beta2
+    no_beta2 = "no meta.json next to the trace"
     if beta2 is None or (beta1 is None and model.needs_beta1):
         meta_path = Path(args.trace).with_name("meta.json")
         if meta_path.exists():
             with open(meta_path) as fh:
                 try:
-                    # the betas the run's stepper used: RMSProp's beta1 is 0
-                    stepper = RunConfig(**json.load(fh)["config"]).adam_config()
+                    config = RunConfig(**json.load(fh)["config"])
                 except (KeyError, TypeError) as exc:
                     raise ValueError(f"{meta_path} does not hold a run config: {exc}") from None
+            # the betas the run's stepper used: RMSProp's beta1 is 0, and SGD
+            # keeps no second moment, so it has no beta2 to offer
+            stepper = config.adam_config()
             beta1 = stepper.beta1 if beta1 is None else beta1
-            beta2 = stepper.beta2 if beta2 is None else beta2
+            if config.optimizer == "sgd":
+                no_beta2 = "an sgd run keeps no second moment"
+            elif beta2 is None:
+                beta2 = stepper.beta2
     if beta2 is None:
-        print("error: --beta2 is required (no meta.json next to the trace)", file=sys.stderr)
+        print(f"error: --beta2 is required ({no_beta2})", file=sys.stderr)
         return 2
     if model.needs_beta1 and beta1 is None:
         print("error: --beta1 is required (no meta.json next to the trace)", file=sys.stderr)

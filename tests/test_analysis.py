@@ -395,10 +395,49 @@ def test_unconstrained_models_take_the_plain_lstsq_bits(model):
 
 
 def test_every_shifted_coefficient_is_constrained():
-    # fit_model solves the active sets that clamp it once for the whole grid
+    # the active sets that clamp it are solved once for the whole grid
     for spec in TRACE_MODELS.values():
         if spec.shift is not None:
             assert spec.coeffs[-1] in spec.nonneg
+
+
+@pytest.mark.parametrize(
+    "model, beta1, window, solves",
+    [
+        # 4 shift-dependent active sets at each of the 201 shifts, plus the
+        # 3 that clamp the shifted column and keep a column to solve for
+        ("dot_dtheta", 0.9, None, 4 * 201 + 3),
+        ("dot_dtheta", 0.9, 25, 4 * 201 + 3),
+        # the decay column vanishes: 2 per shift plus 1 shift-free
+        ("dot_dtheta", 0.0, None, 2 * 201 + 1),
+        ("dot_m", 0.9, None, 4),
+        ("g_norm", 0.9, None, 1),
+    ],
+)
+def test_fit_solve_counts(monkeypatch, model, beta1, window, solves):
+    calls = []
+    lstsq = np.linalg.lstsq
+
+    def counting_lstsq(*args, **kwargs):
+        calls.append(args[0].shape)
+        return lstsq(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "lstsq", counting_lstsq)
+    t, y = next(_planted_series())
+    fit_model(model, t, y, beta1, 0.999, window)
+    assert len(calls) == solves
+
+
+@pytest.mark.parametrize("model", list(TRACE_MODELS))
+@pytest.mark.parametrize("window", [None, 25])
+def test_a_constant_series_flags_the_fit_degenerate(model, window):
+    # a zero series fits exactly, so r_squared is 1.0 and says nothing
+    t = np.arange(1, 401, dtype=float)
+    fit = fit_model(model, t, np.zeros_like(t), 0.9, 0.999, window)
+    assert fit.degenerate
+    assert "the series is constant, so r_squared says nothing" in fit.notes
+    assert fit.r_squared == 1.0
+    assert all(value == 0.0 for name, value in fit.coeffs.items() if name != "hyperbolic_shift")
 
 
 def test_windowed_fit_recovers_raw_coefficients():

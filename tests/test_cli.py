@@ -273,6 +273,40 @@ def test_fit_on_an_rmsprop_trace_takes_the_stepper_betas(tmp_path):
     assert "beta1,0.5" in (out / "fit_dot_dtheta.csv").read_text().splitlines()
 
 
+def test_fit_flags_the_unused_momentum_of_an_rmsprop_trace(tmp_path):
+    # RMSProp never touches m, so its m_norm column is all zero
+    spec = tmp_path / "rmsprop.spec"
+    spec.write_text(TINY_SPEC + "optimizer = rmsprop\n")
+    out = tmp_path / "out"
+    assert main(["run", str(spec), "--out", str(out)]) == 0
+    assert main(["fit", str(out / "trace.csv"), "--model", "m_norm", "--epoch", "2"]) == 0
+    lines = (out / "fit_m_norm.csv").read_text().splitlines()
+    for expected in ("r_squared,1.0", "degenerate,true",
+                     'notes,"the series is constant, so r_squared says nothing"'):
+        assert expected in lines
+
+
+def test_fit_on_an_sgd_trace_takes_no_beta2_from_meta_json(tmp_path, capsys):
+    # SGD keeps no second moment, so meta.json's beta2 was never used
+    spec = tmp_path / "sgd.spec"
+    spec.write_text(TINY_SPEC + "optimizer = sgd\nlr = 0.05\nbeta1 = 0.8\n")
+    out = tmp_path / "out"
+    assert main(["run", str(spec), "--out", str(out)]) == 0
+    for model in ("g_norm", "v_norm", "m_norm"):
+        fit = ["fit", str(out / "trace.csv"), "--model", model, "--epoch", "2"]
+        written = sorted(p.name for p in out.iterdir())
+        assert main(fit) == 2
+        assert "error: --beta2 is required (an sgd run keeps no second moment)" in capsys.readouterr().err
+        assert sorted(p.name for p in out.iterdir()) == written
+        # an explicit --beta2 wins, and beta1 (SGD's momentum) still comes from meta.json
+        assert main(fit + ["--beta2", "0.99"]) == 0
+        lines = (out / f"fit_{model}.csv").read_text().splitlines()
+        assert "beta2,0.99" in lines
+        assert ("beta1,0.8" if model == "m_norm" else "beta1,") in lines
+    # the v_norm column is all zero, and the fit says so
+    assert "degenerate,true" in (out / "fit_v_norm.csv").read_text().splitlines()
+
+
 def test_fit_reads_the_run_config_without_importing_numpy_random(tiny_run):
     # building the schedule to check the config draws nothing, so a fit
     # keeps numpy.random's 5 MB of extension modules out of its peak RSS
