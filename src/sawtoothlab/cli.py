@@ -18,7 +18,6 @@ import argparse
 import csv
 import json
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict
 from importlib import resources
 from pathlib import Path
@@ -132,6 +131,8 @@ def cmd_run(args) -> int:
         jobs.append((label, config, str(point_dir), spec.emit, spec.window))
     if spec.workers > 1 and len(jobs) > 1:
         import numpy.random  # noqa: F401 (the forked workers share it, not import it each)
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=spec.workers) as pool:
             summaries = list(pool.map(_execute_point, jobs))
     else:
@@ -147,14 +148,13 @@ def cmd_fit(args) -> int:
         print(f"error: --window must be >= 1, got {args.window}", file=sys.stderr)
         return 2
     model = TRACE_MODELS[args.model]
-    trace = read_trace_csv(args.trace)
-    rows = trace.epoch_rows(args.epoch)
-    if len(rows) == 0:
+    trace = read_trace_csv(args.trace, epoch=args.epoch)
+    if len(trace) == 0:
         print(f"error: trace has no rows for epoch {args.epoch}", file=sys.stderr)
         return 2
     # each model is fitted to the trace column of the same name
-    y = getattr(trace, args.model)[rows]
-    t = trace.step[rows].astype(float)
+    y = getattr(trace, args.model)
+    t = trace.step.astype(float)
     finite = np.isfinite(y)
     if not np.any(finite):
         print(

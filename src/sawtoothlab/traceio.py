@@ -19,6 +19,12 @@ The trace CSV dialect, as written and as accepted by the reader:
 A trace read back has probes enabled when any probe cell holds a number
 other than NaN; as the writer blanks NaN probe values, in a written trace
 that is any probe cell that is not empty.
+
+A read of one epoch (``read_trace_csv(path, epoch=e)``) parses only the
+rows whose epoch cell is ``e`` and returns them bit for bit as the full
+read would. It still checks every other row's cell count and integer epoch
+cell, and rejects a blank line anywhere, but leaves the other cells of
+those rows unparsed; its ``probes_enabled`` describes the rows read.
 """
 
 from __future__ import annotations
@@ -91,14 +97,51 @@ def _filled_lines(fh):
         yield line + "nan" if line.endswith(",") else line
 
 
-def read_trace_csv(path) -> Trace:
-    """Read a trace written by write_trace_csv; malformed input raises ValueError."""
+def _int64_cell(cell: str) -> int:
+    """An integer cell's value by np.loadtxt's int64 rule; anything else raises ValueError."""
+    # str.strip drops exactly the whitespace loadtxt skips; int() alone would
+    # also take underscores and non-ASCII digits, and reject "\x1c2"
+    body = cell.strip()
+    digits = body[1:] if body[:1] in ("+", "-") else body
+    value = int(body) if digits.isascii() and digits.isdigit() else None
+    if value is None or not -(2**63) <= value < 2**63:
+        raise ValueError(f"epoch cell {cell!r} is not an integer")
+    return value
+
+
+def _epoch_lines(fh, epoch: int):
+    """The body lines whose epoch cell is ``epoch``, after checking every line's shape."""
+    belongs = {}  # epoch cell text -> whether it spells epoch
+    for lineno, line in enumerate(fh, start=2):
+        if line == "\n":
+            raise ValueError(f"blank line at line {lineno}")
+        if line.count(",") != len(TRACE_COLUMNS) - 1:
+            raise ValueError(
+                f"line {lineno} has {line.count(',') + 1} cells, not {len(TRACE_COLUMNS)}"
+            )
+        cell = line[: line.index(",")]
+        keep = belongs.get(cell)
+        if keep is None:
+            keep = belongs[cell] = _int64_cell(cell) == epoch
+        if keep:
+            yield line
+
+
+def read_trace_csv(path, *, epoch=None) -> Trace:
+    """Read a trace written by write_trace_csv; malformed input raises ValueError.
+
+    With ``epoch`` set, only that epoch's rows are parsed and returned, bit
+    for bit the full read's ``epoch_rows(epoch)`` slice. Every other row is
+    still checked for its cell count and its integer epoch cell, and a blank
+    line anywhere still raises; only the other cells of other epochs' rows
+    go unparsed. ``probes_enabled`` then describes the rows read.
+    """
     table = np.empty(0, dtype=TRACE_DTYPE)
     with open(path) as fh:
         header = fh.readline().rstrip("\n")
         if tuple(header.split(",")) != TRACE_COLUMNS:
             raise ValueError(f"unexpected trace header in {path}: {header!r}")
-        lines = _filled_lines(fh)
+        lines = _filled_lines(fh if epoch is None else _epoch_lines(fh, epoch))
         try:
             first = next(lines, None)
             if first is not None:

@@ -21,9 +21,10 @@ from sawtoothlab.analysis import (
     nshape_sweep,
 )
 from sawtoothlab.cli import _resolve_spec_path, main
+from sawtoothlab.schedule import batches_per_epoch
 from sawtoothlab.specfile import load_spec
 from sawtoothlab.traceio import read_trace_csv, render_line_chart_svg, write_trace_csv
-from sawtoothlab.trainer import run_toy
+from sawtoothlab.trainer import TRACE_COLUMNS, run_toy
 
 TINY_SPEC = """
 name = tiny
@@ -389,6 +390,82 @@ def test_fit_rejects_malformed_trace(tiny_run, capsys):
     trace.write_text("".join(lines[:5]) + "1,2\r\n" + "".join(lines[5:]))
     assert main(["fit", str(trace), "--model", "g_norm", "--epoch", "1"]) == 2
     assert "error:" in capsys.readouterr().err
+
+
+@pytest.fixture
+def three_epoch_run(tmp_path):
+    spec = tmp_path / "three.spec"
+    spec.write_text(TINY_SPEC.replace("epochs = 2", "epochs = 3"))
+    out = tmp_path / "three"
+    assert main(["run", str(spec), "--out", str(out)]) == 0
+    return out
+
+
+def _corrupt_epoch_row(trace, epoch: int, edit) -> None:
+    """Rewrite the sixth row of an epoch through edit(cells) -> line."""
+    lines = trace.read_text().splitlines(keepends=True)
+    k = [i for i, line in enumerate(lines) if line.startswith(f"{epoch},")][5]
+    lines[k] = edit(lines[k].rstrip("\n").split(",")) + "\n"
+    trace.write_text("".join(lines))
+
+
+@pytest.mark.parametrize(
+    "edit",
+    [
+        lambda cells: ",".join(cells[:-1]),
+        lambda cells: ",".join(["3.0"] + cells[1:]),
+        lambda cells: "",
+    ],
+    ids=["ragged row", "non-integer epoch cell", "blank line"],
+)
+def test_fit_rejects_a_malformed_row_of_another_epoch(three_epoch_run, capsys, edit):
+    trace = three_epoch_run / "trace.csv"
+    _corrupt_epoch_row(trace, 3, edit)
+    assert main(["fit", str(trace), "--model", "g_norm", "--epoch", "2"]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+    assert not list(three_epoch_run.glob("fit_*"))
+
+
+def test_fit_leaves_the_float_cells_of_other_epochs_unparsed(three_epoch_run, tmp_path):
+    trace = three_epoch_run / "trace.csv"
+    fit = ["fit", str(trace), "--model", "g_norm", "--epoch", "2", "--out"]
+    assert main(fit + [str(tmp_path / "clean")]) == 0
+    g_norm = TRACE_COLUMNS.index("g_norm")
+    _corrupt_epoch_row(trace, 3, lambda cells: ",".join(
+        cells[:g_norm] + ["0.2.5"] + cells[g_norm + 1:]
+    ))
+    assert main(fit + [str(tmp_path / "corrupt")]) == 0
+    for name in ("fit_g_norm.csv", "overlay_g_norm.csv"):
+        clean, corrupt = (tmp_path / side / name for side in ("clean", "corrupt"))
+        assert corrupt.read_bytes() == clean.read_bytes(), name
+    assert main(["fit", str(trace), "--model", "g_norm", "--epoch", "3"]) == 2
+    with pytest.raises(ValueError):
+        read_trace_csv(trace)
+
+
+def test_fit_parses_only_the_rows_of_its_epoch(tiny_run, monkeypatch):
+    parsed = []
+    loadtxt = np.loadtxt
+
+    def counting_loadtxt(lines, *args, **kwargs):
+        lines = list(lines)
+        parsed.append(len(lines))
+        return loadtxt(lines, *args, **kwargs)
+
+    monkeypatch.setattr(np, "loadtxt", counting_loadtxt)
+    assert main(["fit", str(tiny_run / "trace.csv"), "--model", "g_norm", "--epoch", "2"]) == 0
+    assert parsed == [batches_per_epoch(40, 1)]
+
+
+def test_cli_import_leaves_the_process_pool_out():
+    # only a sweep with workers > 1 needs concurrent.futures
+    code = "import sys, sawtoothlab.cli\nassert 'concurrent.futures' not in sys.modules\n"
+    pythonpath = os.pathsep.join(filter(None, ["src", os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", code], cwd=Path(__file__).resolve().parents[1],
+        env={**os.environ, "PYTHONPATH": pythonpath}, capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
 
 
 def test_toy_command(tmp_path, capsys):

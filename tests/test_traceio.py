@@ -1,5 +1,6 @@
 """On-disk round trips: trace CSV, epoch metrics CSV, meta sidecar, SVG."""
 
+import itertools
 import json
 import math
 import tempfile
@@ -95,7 +96,7 @@ def test_columnar_io_matches_reference_on_arbitrary_traces(trace):
         _assert_matches_reference(trace, Path(tmp))
 
 
-def test_columnar_io_matches_reference_across_write_chunks(tmp_path):
+def _chunk_spanning_trace() -> Trace:
     # long enough to span several write chunks, with strided probe gaps
     rng = np.random.default_rng(7)
     n = 9000
@@ -109,7 +110,45 @@ def test_columnar_io_matches_reference_across_write_chunks(tmp_path):
         if name in PROBE_COLUMNS:
             columns[name][np.arange(n) % 3 != 0] = np.nan
     columns["batch_loss"][[5, 4100, 8191, 8192]] = [np.nan, np.inf, -0.0, 5e-324]
-    _assert_matches_reference(Trace(columns, probes_enabled=True), tmp_path)
+    return Trace(columns, probes_enabled=True)
+
+
+def test_columnar_io_matches_reference_across_write_chunks(tmp_path):
+    _assert_matches_reference(_chunk_spanning_trace(), tmp_path)
+
+
+def _assert_epoch_reads_match_the_full_read(trace: Trace, tmpdir: Path) -> None:
+    """Each epoch's read against the full read's epoch_rows slice, bit for bit."""
+    written, lf = tmpdir / "trace.csv", tmpdir / "lf.csv"
+    write_trace_csv(trace, written)
+    lf.write_bytes(written.read_bytes().replace(b"\r\n", b"\n"))
+    for path in (written, lf):
+        full = read_trace_csv(path)
+        epochs = sorted(set(full.epoch.tolist()))
+        # an epoch no row holds reads back as an empty trace
+        absent = next(e for e in itertools.count() if e not in epochs)
+        for epoch in epochs + [absent]:
+            part = read_trace_csv(path, epoch=epoch)
+            rows = full.epoch_rows(epoch)
+            assert len(part) == len(rows), epoch
+            for name in TRACE_COLUMNS:
+                got, want = getattr(part, name), getattr(full, name)[rows]
+                assert got.dtype == want.dtype, (epoch, name)
+                assert got.tobytes() == want.tobytes(), (epoch, name)
+            # probes_enabled describes the rows read
+            probed = any(not np.isnan(getattr(full, name)[rows]).all() for name in PROBE_COLUMNS)
+            assert part.probes_enabled == probed, epoch
+
+
+@settings(max_examples=200, deadline=None)
+@given(_traces())
+def test_epoch_reads_match_the_full_read_on_arbitrary_traces(trace):
+    with tempfile.TemporaryDirectory() as tmp:
+        _assert_epoch_reads_match_the_full_read(trace, Path(tmp))
+
+
+def test_epoch_reads_match_the_full_read_across_write_chunks(tmp_path):
+    _assert_epoch_reads_match_the_full_read(_chunk_spanning_trace(), tmp_path)
 
 
 def test_run_traces_match_reference(small_result, tmp_path):
