@@ -230,6 +230,9 @@ def cmd_fit(args) -> int:
 
 
 def cmd_toy(args) -> int:
+    if not args.beta1 > 0:
+        # beta1 = 0 would run reversed_momentum as plain SGD, a copy of reversed
+        raise ValueError(f"--beta1 must be > 0, got {args.beta1}")
     # every case runs before anything is written, so a bad flag leaves no output
     traces = {
         label: run_toy(sequencing, beta1, lr=args.lr, epochs=args.epochs).trace
@@ -276,6 +279,8 @@ def _parse_vector_file(path) -> dict[str, np.ndarray]:
             values[key] = np.array([float(v) for v in value.split(",")], dtype=float)
         except ValueError:
             raise SpecError(f"bad number in {key!r}", str(path), lineno) from None
+        if not np.all(np.isfinite(values[key])):
+            raise SpecError(f"non-finite number in {key!r}", str(path), lineno)
     missing = [k for k in _VECTORS if k not in values]
     if missing:
         raise SpecError(f"missing vectors: {', '.join(missing)}", str(path))

@@ -1,4 +1,4 @@
-"""Instrumented incremental training loop over the quadratic testbed.
+"""Instrumented incremental training loop over the quadratic testbed and the toy.
 
 Each step draws the next scheduled batch, evaluates its loss and gradient
 at the current parameters, applies one optimizer update, and records a
@@ -13,6 +13,7 @@ update delta are the post-update values of the same step.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -44,9 +45,6 @@ __all__ = [
     "run_toy",
     "probe_epoch_start_losses",
     "oscillation_amplitude",
-    "TOY_THETA0",
-    "TOY_BETA2",
-    "TOY_EPSILON",
 ]
 
 TRACE_COLUMNS = (
@@ -93,8 +91,8 @@ class Trace:
     def empty(cls, num_epochs: int, epoch_len: int, probes_enabled: bool) -> Trace:
         """A trace of num_epochs epochs of epoch_len steps, every float NaN.
 
-        The count columns come from that epoch layout, so a step loop writes
-        only the values it measures; run() cuts a diverged trace short. Each
+        The count columns come from that epoch layout, so the row loop writes
+        only the values it measures, and cuts a diverged trace short. Each
         epoch's epoch_mean_loss is then summed from the trace in step order.
         """
         rows = num_epochs * epoch_len
@@ -216,7 +214,7 @@ class RunConfig:
 class RunResult:
     """A run's trace and what it reads off it; a diverged trace ends on the diverged step."""
 
-    config: RunConfig | None  # None for run_toy
+    config: RunConfig
     trace: Trace
     diverged: bool
     epoch_start_losses: np.ndarray | None = None
@@ -264,24 +262,27 @@ def _norm(dense: np.ndarray, coords, vals) -> float:
     return abs(vals)
 
 
-def run(config: RunConfig) -> RunResult:
-    """Execute one configured run and return its trace and summaries."""
-    problem = generate_quadratic(
-        config.problem_seed, config.num_functions, config.dim
-    )
-    theta = np.full(problem.dim, config.x_init, dtype=float)
-    state = OptimizerState.fresh(problem.dim)
+def _stepper(config: RunConfig, state: OptimizerState, theta: np.ndarray):
+    """config.optimizer's step, (coords, vals) -> delta, on state and theta."""
     opt_config = config.adam_config()
     if config.optimizer == "adam":
-        def step_fn(coords, vals):
-            return adam_step(state, opt_config, vals, theta, coords)
-    elif config.optimizer == "rmsprop":
-        def step_fn(coords, vals):
-            return rmsprop_step(state, opt_config, vals, coords)
-    else:
-        def step_fn(coords, vals):
-            return sgd_momentum_step(state, config.lr, config.beta1, vals, coords)
+        return lambda coords, vals: adam_step(state, opt_config, vals, theta, coords)
+    if config.optimizer == "rmsprop":
+        return lambda coords, vals: rmsprop_step(state, opt_config, vals, coords)
+    return lambda coords, vals: sgd_momentum_step(state, config.lr, config.beta1, vals, coords)
 
+
+def run(config: RunConfig) -> RunResult:
+    """Execute one configured run and return its trace and summaries."""
+    problem = generate_quadratic(config.problem_seed, config.num_functions, config.dim)
+    return _train(config, functools.partial(batch_loss_grad, problem))
+
+
+def _train(config: RunConfig, loss_grad) -> RunResult:
+    """Train config's schedule on loss_grad(batch, theta) -> (loss, coords, vals)."""
+    theta = np.full(config.dim, config.x_init, dtype=float)
+    state = OptimizerState.fresh(config.dim)
+    step_fn = _stepper(config, state, theta)
     schedule = config.schedule()
     bpe = batches_per_epoch(config.num_functions, config.batch_size)
 
@@ -293,7 +294,7 @@ def run(config: RunConfig) -> RunResult:
     m_arr, v_arr = state.m, state.v
     # the step gradient in dense form, which g_norm and dot_g read: it is
     # zero off the step's coords, so each step re-zeroes only the last ones
-    gbuf = np.zeros(problem.dim)
+    gbuf = np.zeros(config.dim)
     coords = 0
 
     for row in range(len(trace)):
@@ -302,11 +303,13 @@ def run(config: RunConfig) -> RunResult:
             if config.probe:
                 tracked = schedule.peek_epoch_batches()[config.tracked_batch]
             if epoch + 1 == config.epoch_start_probe_epoch:
-                epoch_start_losses = probe_epoch_start_losses(problem, schedule, theta)
+                # probe_epoch_start_losses' operations, on loss_grad
+                batches = schedule.peek_epoch_batches()
+                epoch_start_losses = np.array([loss_grad(b, theta)[0] for b in batches])
             cum_dot = 0.0
         batch = schedule.next_batch()
         gbuf[coords] = 0.0
-        loss, coords, vals = batch_loss_grad(problem, batch, theta)
+        loss, coords, vals = loss_grad(batch, theta)
         g_norm = math.nan
         if math.isfinite(loss) and abs(loss) <= ceiling:
             gbuf[coords] = vals
@@ -315,7 +318,7 @@ def run(config: RunConfig) -> RunResult:
         diverged = not math.isfinite(g_norm)
         probed = not diverged and config.probe and step % config.probe_stride == 0
         if probed:
-            tracked_loss, t_coords, t_vals = batch_loss_grad(problem, tracked, theta)
+            tracked_loss, t_coords, t_vals = loss_grad(tracked, theta)
             dot_g = _dot(gbuf, t_coords, t_vals)
         if not diverged:
             delta = step_fn(coords, vals)  # state.delta, rewritten next step
@@ -354,16 +357,6 @@ def probe_epoch_start_losses(
     return np.array([batch_loss(problem, b, theta) for b in schedule.peek_epoch_batches()])
 
 
-# Starting point for the documented toy configuration, slightly off the
-# symmetric point 0.5 so that the frozen order's two recorded losses do not
-# coincide by accident of symmetry.
-TOY_THETA0 = 0.505
-# betas/epsilon for the toy's adaptive branch; the near-empty second moment
-# early in the run is the amplification being demonstrated
-TOY_BETA2 = 0.999
-TOY_EPSILON = 1e-8
-
-
 def run_toy(
     sequencing: str,
     momentum_beta1: float,
@@ -380,38 +373,35 @@ def run_toy(
     empty, so early steps are strongly amplified, which is what makes the
     boundary re-exposure visibly larger than either plain-gradient run.
     """
-    if sequencing not in ("fixed", "reversed"):
+    policies = {"fixed": "fixed", "reversed": "reverse"}
+    if sequencing not in policies:
         raise ValueError(f"sequencing must be 'fixed' or 'reversed', got {sequencing!r}")
-    if epochs < 1:
-        raise ValueError("epochs must be >= 1")
-    state = OptimizerState.fresh(1)
-    if momentum_beta1 == 0.0:
-        def step_fn(g):
-            return sgd_momentum_step(state, lr, 0.0, g)
-    else:
-        adaptive = AdamConfig(
-            lr=lr,
-            beta1=momentum_beta1,
-            beta2=TOY_BETA2,
-            epsilon=TOY_EPSILON,
-            bias_correction=False,
-        )
+    config = RunConfig(
+        optimizer="sgd" if momentum_beta1 == 0.0 else "adam",
+        lr=lr,
+        beta1=momentum_beta1,
+        # the adaptive branch's betas/epsilon; the near-empty second moment
+        # early in the run is the amplification being demonstrated
+        beta2=0.999,
+        epsilon=1e-8,
+        bias_correction=False,
+        num_functions=2,  # batches A and B, on one parameter
+        dim=1,
+        # slightly off the symmetric point 0.5, so that the frozen order's two
+        # recorded losses do not coincide by accident of symmetry
+        x_init=0.505,
+        policy=policies[sequencing],
+        num_epochs=epochs,
+        seed=0,
+        probe=False,
+        divergence_ceiling=math.inf,  # every finite toy run goes the full length
+    )
 
-        def step_fn(g):
-            return adam_step(state, adaptive, g)
-    policy = "fixed" if sequencing == "fixed" else "reverse"
-    schedule = EpochSchedule(policy, num_samples=2, batch_size=1, seed=0)
-    theta = np.array([TOY_THETA0])
-    grads = np.array([[1.0], [-1.0]])
-    trace = Trace.empty(epochs, 2, probes_enabled=False)
-    for row in range(len(trace)):
-        i = int(schedule.next_batch().indices[0])
-        trace.batch_loss[row] = toy_losses(float(theta[0]))[i]
-        theta += step_fn(grads[i])
-        trace.g_norm[row] = abs(grads[i, 0])
-        trace.m_norm[row] = abs(state.m[0])
-        trace.v_norm[row] = state.v[0]
-    return RunResult(config=None, trace=trace, diverged=False)
+    def loss_grad(batch, theta):
+        i = batch.indices.item()
+        return toy_losses(theta.item())[i], 0, (1.0, -1.0)[i]
+
+    return _train(config, loss_grad)
 
 
 def oscillation_amplitude(trace: Trace) -> float:

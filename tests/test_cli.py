@@ -491,7 +491,9 @@ def test_toy_command_passes_lr_and_beta1(tmp_path):
         assert (out / f"toy_{label}.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
 
 
-@pytest.mark.parametrize("flag", [["--lr", "inf"], ["--beta1", "1.5"], ["--epochs", "0"]])
+@pytest.mark.parametrize(
+    "flag", [["--lr", "inf"], ["--beta1", "1.5"], ["--epochs", "0"], ["--beta1", "0"]]
+)
 def test_toy_bad_flag_fails_before_any_output(tmp_path, capsys, flag):
     # every case is checked before the first trace is written
     out = tmp_path / "toy"
@@ -561,6 +563,25 @@ def test_nshape_with_no_grid_point_left_writes_nothing(tmp_path, capsys):
     # a zero gradient has no cosine at any beta2
     assert main(_nshape_vectors(tmp_path, "0, 0, 0", "1, 0, 1", "1, 1, 1")) == 2
     assert capsys.readouterr().err.startswith("error: every beta2 grid point")
+    assert not (tmp_path / "n").exists()
+
+
+@pytest.mark.parametrize(
+    "key, value", [("grad", "1, nan, 2"), ("momentum", "1, inf, 1"), ("grad_squared", "1, 1, -inf")]
+)
+def test_nshape_non_finite_vector_writes_nothing(tmp_path, capsys, key, value):
+    # a NaN would fill the table with NaN cosines, an inf the dot line with -inf
+    vectors = {
+        "grad": "1, 2, 3",
+        "momentum": "-1, 1, 2",
+        "second_moment_prev": "1, 0, 1",
+        "grad_squared": "1, 1, 1",
+    } | {key: value}
+    vecs = tmp_path / "vectors.txt"
+    vecs.write_text("".join(f"{k} = {v}\n" for k, v in vectors.items()))
+    lineno = list(vectors).index(key) + 1
+    assert main(["nshape", "--vectors", str(vecs), "--out", str(tmp_path / "n")]) == 2
+    assert f"{vecs}:{lineno}: non-finite number in {key!r}" in capsys.readouterr().err
     assert not (tmp_path / "n").exists()
 
 

@@ -474,6 +474,19 @@ def test_epoch_start_probe_capture():
     assert run(RunConfig(**SMALL)).epoch_start_losses is None
 
 
+@pytest.mark.parametrize("batch_size", [1, 4])
+def test_epoch_start_probe_matches_probe_epoch_start_losses(batch_size):
+    # the row loop's probe runs probe_epoch_start_losses' operations on theta = x_init
+    config = RunConfig(epoch_start_probe_epoch=1, batch_size=batch_size, **SMALL)
+    problem = generate_quadratic(config.problem_seed, config.num_functions, config.dim)
+    expected = probe_epoch_start_losses(
+        problem, config.schedule(), np.full(config.dim, config.x_init)
+    )
+    losses = run(config).epoch_start_losses
+    assert len(losses) == batches_per_epoch(config.num_functions, batch_size)
+    np.testing.assert_array_equal(losses.view(np.int64), expected.view(np.int64))
+
+
 @pytest.mark.parametrize("batch_size", [1, 3, 8])
 def test_epoch_start_losses_are_batch_losses(batch_size):
     problem = generate_quadratic(7, 500, 40)
@@ -561,6 +574,10 @@ def test_toy_validation():
         run_toy("fixed", 0.0, lr=0.0)
     with pytest.raises(ValueError):
         run_toy("fixed", 0.0, epochs=0)
+    # schedule policy names are not sequencings, not even the one "reversed" maps to
+    for sequencing in ("reverse", "shuffle"):
+        with pytest.raises(ValueError, match="sequencing"):
+            run_toy(sequencing, 0.0)
 
 
 def test_oscillation_amplitude_windowing():
