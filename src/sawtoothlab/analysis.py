@@ -223,8 +223,6 @@ def fit_model(
     cols = spec.basis(t, beta1, beta2)
     smooth = window is not None and window > 1
     if smooth:
-        if window > len(t):
-            raise ValueError(f"window {window} exceeds series length {len(t)}")
         y = window_average(y, window)
         cols = [window_average(col, window) for col in cols]
         notes.append(f"fit on window-{window} moving averages")
@@ -366,10 +364,12 @@ class EspMetrics:
 
 
 def window_average(y: np.ndarray, window: int) -> np.ndarray:
-    """Moving average with a full window (length drops by window - 1)."""
+    """Moving average over a full window of 1 to len(y) steps (length drops by window - 1)."""
     y = np.asarray(y, dtype=float)
     if window < 1:
         raise ValueError(f"window must be >= 1, got {window}")
+    if window > len(y):
+        raise ValueError(f"window {window} exceeds series length {len(y)}")
     if window == 1:
         return y.copy()
     kernel = np.full(window, 1.0 / window)
@@ -401,6 +401,7 @@ def esp_metrics(trace, window: int | None = None) -> list[EspMetrics]:
         if len(y) < 2 * w:
             logger.warning("epoch %d has %d steps, shorter than two windows; skipped", e, len(y))
             continue
+        averaged = window_average(y, w)
         loss_start = float(np.mean(y[:w]))
         if out and out[-1].epoch == e - 1:
             # this start closes the previous epoch's boundary
@@ -409,7 +410,6 @@ def esp_metrics(trace, window: int | None = None) -> list[EspMetrics]:
             prev.amplitude = prev.drop / max(abs(prev.loss_end), 1e-12)
         loss_end = float(np.mean(y[-w:]))
         rise = loss_end - loss_start
-        averaged = window_average(y, w)
         x = np.arange(len(averaged), dtype=float)
         if len(averaged) >= 3:
             curvature = float(np.polyfit(x, averaged, 2)[0])

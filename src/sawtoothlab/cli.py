@@ -8,8 +8,10 @@ Subcommands:
     nshape   sweep the update/gradient similarity over beta2
     overlap  expected (and Monte Carlo) boundary-batch overlap
 
-Exit codes: 0 success (including runs flagged diverged), 2 for malformed
-specs or arguments, 3 for I/O failures.
+Commands raise on failure and print nothing to stderr; ``main`` alone turns
+a failure into an ``error: ...`` (or ``io error: ...``) line and picks the
+exit code: 0 success (including runs flagged diverged), 2 for malformed
+specs, arguments or traces (ValueError), 3 for I/O failures (OSError).
 """
 
 from __future__ import annotations
@@ -120,7 +122,7 @@ def _execute_point(job: tuple) -> dict:
     }
 
 
-def cmd_run(args) -> int:
+def cmd_run(args) -> None:
     spec_path = _resolve_spec_path(args.spec)
     spec = load_spec(spec_path)
     out_dir = Path(args.out or spec.out or f"runs/{spec.name}")
@@ -140,29 +142,24 @@ def cmd_run(args) -> int:
     for s in summaries:
         flag = " DIVERGED" if s["diverged"] else ""
         print(f"{s['label']}: final_mean_loss={s['final_mean_loss']:.6g}{flag} -> {s['dir']}")
-    return 0
 
 
-def cmd_fit(args) -> int:
+def cmd_fit(args) -> None:
     if args.window < 1:
-        print(f"error: --window must be >= 1, got {args.window}", file=sys.stderr)
-        return 2
+        raise ValueError(f"--window must be >= 1, got {args.window}")
     model = TRACE_MODELS[args.model]
     trace = read_trace_csv(args.trace, epoch=args.epoch)
     if len(trace) == 0:
-        print(f"error: trace has no rows for epoch {args.epoch}", file=sys.stderr)
-        return 2
+        raise ValueError(f"trace has no rows for epoch {args.epoch}")
     # each model is fitted to the trace column of the same name
     y = getattr(trace, args.model)
     t = trace.step.astype(float)
     finite = np.isfinite(y)
     if not np.any(finite):
-        print(
-            f"error: trace column {args.model!r} carries no values for epoch "
-            f"{args.epoch} (probes disabled?)",
-            file=sys.stderr,
+        raise ValueError(
+            f"trace column {args.model!r} carries no values for epoch "
+            f"{args.epoch} (probes disabled?)"
         )
-        return 2
     keep = finite & (t >= model.min_t)
     if args.t_min is not None:
         keep &= t >= args.t_min
@@ -170,8 +167,7 @@ def cmd_fit(args) -> int:
         keep &= t <= args.t_max
     t, y = t[keep], y[keep]
     if len(t) < 2:
-        print("error: not enough points left to fit", file=sys.stderr)
-        return 2
+        raise ValueError("not enough points left to fit")
 
     beta1, beta2 = args.beta1, args.beta2
     no_beta2 = "no meta.json next to the trace"
@@ -192,11 +188,9 @@ def cmd_fit(args) -> int:
             elif beta2 is None:
                 beta2 = stepper.beta2
     if beta2 is None:
-        print(f"error: --beta2 is required ({no_beta2})", file=sys.stderr)
-        return 2
+        raise ValueError(f"--beta2 is required ({no_beta2})")
     if model.needs_beta1 and beta1 is None:
-        print("error: --beta1 is required (no meta.json next to the trace)", file=sys.stderr)
-        return 2
+        raise ValueError("--beta1 is required (no meta.json next to the trace)")
 
     fit = fit_model(args.model, t, y, beta1, beta2, window=args.window)
     out_dir = Path(args.out) if args.out else Path(args.trace).parent
@@ -226,10 +220,9 @@ def cmd_fit(args) -> int:
         )
     coeff_text = ", ".join(f"{k}={v:.6g}" for k, v in fit.coeffs.items())
     print(f"{args.model} epoch {args.epoch}: {coeff_text}, r2={fit.r_squared:.4f}")
-    return 0
 
 
-def cmd_toy(args) -> int:
+def cmd_toy(args) -> None:
     if not args.beta1 > 0:
         # beta1 = 0 would run reversed_momentum as plain SGD, a copy of reversed
         raise ValueError(f"--beta1 must be > 0, got {args.beta1}")
@@ -264,7 +257,6 @@ def cmd_toy(args) -> int:
             x_label="step",
             y_label="batch loss",
         )
-    return 0
 
 
 _VECTORS = ("grad", "momentum", "second_moment_prev", "grad_squared")
@@ -290,7 +282,7 @@ def _parse_vector_file(path) -> dict[str, np.ndarray]:
     return values
 
 
-def cmd_nshape(args) -> int:
+def cmd_nshape(args) -> None:
     if args.vectors:
         vecs = _parse_vector_file(args.vectors)
         grad = vecs["grad"]
@@ -320,14 +312,14 @@ def cmd_nshape(args) -> int:
         print(f"cosine at beta2={betas[k]:g}: {cosines[k]:.6g}")
     delta0 = nshape_delta(momentum, v_prev, g_squared, betas[0])
     print(f"dot(grad, delta) at beta2={betas[0]:g}: {float(np.dot(grad, delta0)):.6g}")
-    return 0
 
 
-def cmd_overlap(args) -> int:
+def cmd_overlap(args) -> None:
     if args.mc < 0 or args.mc == 1:
         # one trial has no standard error to measure the mean against
-        print(f"error: --mc must be 0 or at least 2 trials, got {args.mc}", file=sys.stderr)
-        return 2
+        raise ValueError(f"--mc must be 0 or at least 2 trials, got {args.mc}")
+    if args.seed < 0:
+        raise ValueError(f"--seed must be >= 0, got {args.seed}")
     expected = expected_overlap(args.num_samples, args.batch_size)
     print(f"expected boundary overlap: {expected:.6g}")
     if args.mc:
@@ -342,7 +334,6 @@ def cmd_overlap(args) -> int:
         else:
             match = "inf se from expected"
         print(f"monte carlo ({args.mc} trials): {mean:.6g} +/- {se:.2g} ({match})")
-    return 0
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -406,13 +397,14 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        return args.func(args)
+        args.func(args)
     except OSError as exc:
         print(f"io error: {exc}", file=sys.stderr)
         return 3
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    return 0
 
 
 if __name__ == "__main__":

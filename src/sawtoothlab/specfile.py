@@ -165,7 +165,7 @@ def parse_spec(text: str, source: str = "spec") -> ExperimentSpec:
             continue
         if key in _RUNNER_TYPES:
             converted = _convert(key, value, source, lineno)
-            if key in ("workers", "window") and converted < 1:
+            if key in ("sweep_cap", "workers", "window") and converted < 1:
                 raise SpecError(f"{key} must be >= 1", source, lineno)
             setattr(spec, key, converted)
             continue

@@ -20,11 +20,12 @@ A trace read back has probes enabled when any probe cell holds a number
 other than NaN; as the writer blanks NaN probe values, in a written trace
 that is any probe cell that is not empty.
 
-A read of one epoch (``read_trace_csv(path, epoch=e)``) parses only the
-rows whose epoch cell is ``e`` and returns them bit for bit as the full
-read would. It still checks every other row's cell count and integer epoch
-cell, and rejects a blank line anywhere, but leaves the other cells of
-those rows unparsed; its ``probes_enabled`` describes the rows read.
+Both reads check every body line's cell count and reject a blank line,
+naming its file line. A read of one epoch (``read_trace_csv(path,
+epoch=e)``) parses only the rows whose epoch cell is ``e`` and returns them
+bit for bit as the full read would. It still checks every other row's
+integer epoch cell, but leaves the other cells of those rows unparsed; its
+``probes_enabled`` describes the rows read.
 """
 
 from __future__ import annotations
@@ -87,16 +88,6 @@ def write_trace_csv(trace: Trace, path) -> None:
     write_columns(path, columns, blank_nan=PROBE_COLUMNS)
 
 
-def _filled_lines(fh):
-    """Body lines with every empty cell spelled ``nan``."""
-    for line in fh:
-        if line == "\n":
-            raise ValueError("blank line")
-        # two passes, because the first leaves every other cell of ",,,"
-        line = line.replace(",,", ",nan,").replace(",,", ",nan,").replace(",\n", ",nan\n")
-        yield line + "nan" if line.endswith(",") else line
-
-
 def _int64_cell(cell: str) -> int:
     """An integer cell's value by np.loadtxt's int64 rule; anything else raises ValueError."""
     # str.strip drops exactly the whitespace loadtxt skips; int() alone would
@@ -109,8 +100,8 @@ def _int64_cell(cell: str) -> int:
     return value
 
 
-def _epoch_lines(fh, epoch: int):
-    """The body lines whose epoch cell is ``epoch``, after checking every line's shape."""
+def _epoch_lines(fh, epoch=None):
+    """Every body line checked for its shape; those of ``epoch`` (all if None) with ``nan`` filled in."""
     belongs = {}  # epoch cell text -> whether it spells epoch
     for lineno, line in enumerate(fh, start=2):
         if line == "\n":
@@ -119,12 +110,16 @@ def _epoch_lines(fh, epoch: int):
             raise ValueError(
                 f"line {lineno} has {line.count(',') + 1} cells, not {len(TRACE_COLUMNS)}"
             )
-        cell = line[: line.index(",")]
-        keep = belongs.get(cell)
-        if keep is None:
-            keep = belongs[cell] = _int64_cell(cell) == epoch
-        if keep:
-            yield line
+        if epoch is not None:
+            cell = line[: line.index(",")]
+            keep = belongs.get(cell)
+            if keep is None:
+                keep = belongs[cell] = _int64_cell(cell) == epoch
+            if not keep:
+                continue
+        # two passes, because the first leaves every other cell of ",,,"
+        line = line.replace(",,", ",nan,").replace(",,", ",nan,").replace(",\n", ",nan\n")
+        yield line + "nan" if line.endswith(",") else line
 
 
 def read_trace_csv(path, *, epoch=None) -> Trace:
@@ -141,7 +136,7 @@ def read_trace_csv(path, *, epoch=None) -> Trace:
         header = fh.readline().rstrip("\n")
         if tuple(header.split(",")) != TRACE_COLUMNS:
             raise ValueError(f"unexpected trace header in {path}: {header!r}")
-        lines = _filled_lines(fh if epoch is None else _epoch_lines(fh, epoch))
+        lines = _epoch_lines(fh, epoch)
         try:
             first = next(lines, None)
             if first is not None:

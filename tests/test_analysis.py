@@ -43,6 +43,9 @@ def test_window_average_values():
     np.testing.assert_allclose(window_average([5.0, 7.0], 1), [5.0, 7.0])
     with pytest.raises(ValueError):
         window_average([1.0], 0)
+    # np.convolve would swap a kernel longer than its input and average anyway
+    with pytest.raises(ValueError, match="window 3 exceeds series length 2"):
+        window_average([1.0, 2.0], 3)
 
 
 def test_esp_metrics_flat_trace():
@@ -122,6 +125,14 @@ def test_esp_metrics_scores_a_partial_last_epoch_with_the_full_window():
 
 def test_esp_metrics_empty():
     assert esp_metrics(_trace(np.array([], dtype=int), np.array([]))) == []
+
+
+@pytest.mark.parametrize("window", [0, -3])
+@pytest.mark.filterwarnings("error")
+def test_esp_metrics_rejects_a_window_below_one_before_any_warning(window):
+    tr = _trace(np.repeat([1, 2], 40), np.full(80, 3.0))
+    with pytest.raises(ValueError, match="window must be >= 1"):
+        esp_metrics(tr, window=window)
 
 
 # ---------------------------------------------------------------- fitters

@@ -1,5 +1,6 @@
 """Command-line front end, exercised in-process through main()."""
 
+import ast
 import json
 import os
 import re
@@ -11,6 +12,7 @@ import numpy as np
 import pytest
 
 import reference_impl
+from sawtoothlab import cli
 from sawtoothlab.analysis import (
     DEMO_GRAD_SQUARED,
     DEMO_MOMENTUM,
@@ -687,6 +689,14 @@ def test_overlap_rejects_a_single_trial(capsys):
     assert "monte carlo" not in captured.out
 
 
+def test_overlap_rejects_a_negative_seed_before_any_output(capsys):
+    argv = ["overlap", "--num-samples", "10", "--batch-size", "3", "--mc", "5", "--seed", "-1"]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: --seed must be >= 0, got -1\n"
+
+
 def test_overlap_reports_an_exact_match(capsys):
     # B = N: every boundary shares all N items, so every trial counts N
     assert main(["overlap", "--num-samples", "7", "--batch-size", "7", "--mc", "50"]) == 0
@@ -698,3 +708,22 @@ def test_overlap_reports_an_exact_match(capsys):
         r"monte carlo \(2000 trials\): \S+ \+/- \S+ \(\d+\.\d\d se from expected\)",
         capsys.readouterr().out,
     )
+
+
+def test_commands_raise_and_main_alone_reports():
+    # one failure path: a cmd_* raises, and main prints the error and picks the exit code
+    tree = ast.parse(Path(cli.__file__).read_text())
+    functions = [f for f in ast.walk(tree) if isinstance(f, ast.FunctionDef)]
+    commands = [f for f in functions if f.name.startswith("cmd_")]
+    assert len(commands) == 5
+    for f in commands:
+        nodes = list(ast.walk(f))
+        assert not [n for n in nodes if isinstance(n, ast.Return) and n.value is not None], f.name
+        assert not [n for n in nodes if isinstance(n, ast.Attribute) and n.attr == "stderr"], f.name
+    exit_returns = {
+        f.name
+        for f in functions
+        for n in ast.walk(f)
+        if isinstance(n, ast.Return) and isinstance(n.value, ast.Constant) and n.value.value in (2, 3)
+    }
+    assert exit_returns == {"main"}

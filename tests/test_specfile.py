@@ -184,10 +184,11 @@ def test_runner_settings():
     assert spec.out == "results/here"
     with pytest.raises(SpecError, match="workers must be >= 1"):
         parse_spec(BASE + "workers = 0\n")
-    # BASE ends on line 7, so the window setting sits on line 8
-    for bad in ("0", "-3"):
-        with pytest.raises(SpecError, match=r"spec:8: window must be >= 1"):
-            parse_spec(BASE + f"window = {bad}\n")
+    # BASE ends on line 7, so the setting sits on line 8
+    for key in ("window", "sweep_cap"):
+        for bad in ("0", "-3"):
+            with pytest.raises(SpecError, match=rf"spec:8: {key} must be >= 1"):
+                parse_spec(BASE + f"{key} = {bad}\n")
 
 
 def test_load_spec_reads_file(tmp_path):
@@ -316,6 +317,7 @@ _BAD_LINES = (
     ("workers = 0", "workers must be >= 1"),
     ("window = -3", "window must be >= 1"),
     ("sweep_cap = many", "bad value for sweep_cap"),
+    ("sweep_cap = 0", "sweep_cap must be >= 1"),
 )
 _FILLER = ("", "# a comment", "   ", "problem_seed = 4  # trailing comment", "probe_stride = 2")
 

@@ -3,6 +3,7 @@
 import itertools
 import json
 import math
+import re
 import tempfile
 from pathlib import Path
 
@@ -232,6 +233,22 @@ def test_read_rejects_malformed(tmp_path):
         with pytest.raises(ValueError):
             read_trace_csv(bad)
             pytest.fail(f"accepted a trace with a {case}")
+
+
+@pytest.mark.parametrize("epoch", [None, 0])
+@pytest.mark.parametrize(
+    "case, message",
+    [
+        ("short row", "line 3 has 2 cells, not 12"),
+        ("long row", "line 2 has 13 cells, not 12"),
+        ("blank line", "blank line at line 3"),
+    ],
+)
+def test_both_reads_name_the_file_line_of_a_misshapen_row(tmp_path, case, message, epoch):
+    bad = tmp_path / "bad.csv"
+    bad.write_bytes(MALFORMED_TRACES[case].encode())
+    with pytest.raises(ValueError, match=re.escape(f"{bad}: {message}") + "$"):
+        read_trace_csv(bad, epoch=epoch)
 
 
 def test_read_accepts_good_row(tmp_path):
