@@ -308,9 +308,9 @@ def fit_dot_dtheta(t, y, beta1: float, beta2: float, window: int | None = None) 
     return fit_model("dot_dtheta", t, y, beta1, beta2, window)
 
 
-def _check_beta(value: float, name: str, upper_inclusive: bool = False) -> None:
-    hi_ok = value <= 1.0 if upper_inclusive else value < 1.0
-    if not (0.0 <= value and hi_ok):
+def _check_beta(value: float | None, name: str, upper_inclusive: bool = False) -> None:
+    hi_ok = value is not None and (value <= 1.0 if upper_inclusive else value < 1.0)
+    if not (hi_ok and 0.0 <= value):
         hi = "1]" if upper_inclusive else "1)"
         raise ValueError(f"{name} must lie in [0, {hi}, got {value}")
 

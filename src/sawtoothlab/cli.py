@@ -69,13 +69,6 @@ def _resolve_spec_path(name: str) -> Path:
     )
 
 
-def _downsample(x: np.ndarray, y: np.ndarray, cap: int = 2000):
-    if len(x) <= cap:
-        return x, y
-    stride = int(np.ceil(len(x) / cap))
-    return x[::stride], y[::stride]
-
-
 def _execute_point(job: tuple) -> dict:
     label, config, point_dir, emit, window = job
     point_dir = Path(point_dir)
@@ -107,8 +100,8 @@ def _execute_point(job: tuple) -> dict:
         render_line_chart_svg(
             point_dir / "loss.svg",
             [
-                ("batch loss", *_downsample(np.arange(len(t), dtype=float), t.batch_loss)),
-                (f"window mean (w={min(w, len(t))})", *_downsample(x_avg, averaged)),
+                ("batch loss", np.arange(len(t), dtype=float), t.batch_loss),
+                (f"window mean (w={min(w, len(t))})", x_avg, averaged),
             ],
             title=label,
             x_label="step",
@@ -177,7 +170,7 @@ def cmd_fit(args) -> None:
             with open(meta_path) as fh:
                 try:
                     config = RunConfig(**json.load(fh)["config"])
-                except (KeyError, TypeError) as exc:
+                except (KeyError, TypeError, ValueError) as exc:
                     raise ValueError(f"{meta_path} does not hold a run config: {exc}") from None
             # the betas the run's stepper used: RMSProp's beta1 is 0, and SGD
             # keeps no second moment, so it has no beta2 to offer

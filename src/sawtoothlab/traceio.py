@@ -32,6 +32,7 @@ from __future__ import annotations
 
 import itertools
 import json
+import math
 from dataclasses import asdict, fields
 from typing import get_type_hints
 
@@ -184,7 +185,11 @@ def render_line_chart_svg(
     x_label: str = "",
     y_label: str = "",
 ) -> None:
-    """Self-contained polyline chart; no external assets or scripts."""
+    """Self-contained polyline chart; no external assets or scripts.
+
+    A series longer than 2,000 points is drawn from every ceil(n / 2000)-th
+    point, taken before non-finite points are dropped.
+    """
     width, height = 880, 480
     margin_l, margin_r, margin_t, margin_b = 64, 16, 34, 44
     plot_w = width - margin_l - margin_r
@@ -193,8 +198,9 @@ def render_line_chart_svg(
     xs, ys = [], []
     cleaned = []
     for label, x, y in series:
-        x = np.asarray(x, dtype=float)
-        y = np.asarray(y, dtype=float)
+        stride = max(1, math.ceil(len(x) / 2000))
+        x = np.asarray(x, dtype=float)[::stride]
+        y = np.asarray(y, dtype=float)[::stride]
         keep = np.isfinite(x) & np.isfinite(y)
         x, y = x[keep], y[keep]
         cleaned.append((label, x, y))

@@ -524,6 +524,15 @@ def test_series_validation():
         fit_g_norm([1.0, 2.0], [1.0, 2.0], beta2=1.5)
 
 
+def test_a_missing_beta_is_out_of_range():
+    # None is rejected with the range message, not a comparison TypeError
+    t = np.arange(1, 20, dtype=float)
+    with pytest.raises(ValueError, match=r"beta1 must lie in \[0, 1\), got None"):
+        fit_model("m_norm", t, np.ones_like(t), None, 0.999)
+    with pytest.raises(ValueError, match=r"beta2 must lie in \[0, 1\], got None"):
+        fit_g_norm(t, np.ones_like(t), None)
+
+
 # planted series of each model, at beta1 = 0.9 and beta2 = 0.999
 ROUND_TRIP_SERIES = {
     "g_norm": lambda t: 1.5 + 0.01 * np.sqrt(1 - 0.999) * t,

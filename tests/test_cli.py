@@ -347,6 +347,27 @@ def test_fit_rejects_a_meta_json_without_a_run_config(tiny_run, tmp_path, capsys
     assert sorted(p.name for p in run_dir.iterdir()) == ["meta.json", "trace.csv"]
 
 
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("{", "Expecting property name"),
+        ('{"config": {"dim": 0}}', "dim must be >= 1, got 0"),
+    ],
+)
+def test_fit_names_meta_json_when_it_is_bad(tiny_run, tmp_path, capsys, text, message):
+    # a meta.json that is not JSON, or holds a config RunConfig rejects, is
+    # blamed on the file, not on the command line
+    run_dir = tmp_path / "copy"
+    run_dir.mkdir()
+    (run_dir / "trace.csv").write_bytes((tiny_run / "trace.csv").read_bytes())
+    (run_dir / "meta.json").write_text(text)
+    assert main(["fit", str(run_dir / "trace.csv"), "--model", "g_norm", "--epoch", "2"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {run_dir / 'meta.json'} does not hold a run config: ")
+    assert message in err
+    assert sorted(p.name for p in run_dir.iterdir()) == ["meta.json", "trace.csv"]
+
+
 def test_fit_overlay_matches_the_csv_module_loop(tiny_run, tmp_path):
     trace = read_trace_csv(tiny_run / "trace.csv")
     rows = trace.epoch_rows(2)

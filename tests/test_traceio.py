@@ -495,3 +495,25 @@ def test_svg_empty_series(tmp_path):
     path = tmp_path / "empty.svg"
     render_line_chart_svg(path, [])
     assert "<svg" in path.read_text()
+
+
+def _polyline_points(path):
+    return [len(pts.split()) for pts in re.findall(r'<polyline points="([^"]*)"', path.read_text())]
+
+
+def test_svg_draws_at_most_2000_points_per_series(tmp_path):
+    long_x = np.arange(10_000, dtype=float)
+    short_x = np.arange(2_000, dtype=float)
+    render_line_chart_svg(
+        tmp_path / "chart.svg", [("long", long_x, np.sin(long_x)), ("short", short_x, short_x)]
+    )
+    # every 5th point of the long series; the 2,000-point series is drawn whole
+    assert _polyline_points(tmp_path / "chart.svg") == [2000, 2000]
+
+
+def test_svg_strides_before_dropping_non_finite_points(tmp_path):
+    x = np.arange(4_001, dtype=float)
+    y = np.where(x % 2 == 0, np.nan, x)
+    render_line_chart_svg(tmp_path / "chart.svg", [("odd", x, y), ("all", x, x)])
+    # the stride of 3 takes points 0, 3, 6, ...; only the odd ones among them are finite
+    assert _polyline_points(tmp_path / "chart.svg") == [667, 1334]
