@@ -178,6 +178,11 @@ def write_meta_json(meta: dict, path) -> None:
 _PALETTE = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e", "#8c564b")
 
 
+def _xml_text(s: str) -> str:
+    """s escaped for XML character data (html.escape would import html.entities)."""
+    return s.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
+
+
 def render_line_chart_svg(
     path,
     series: list[tuple[str, np.ndarray, np.ndarray]],
@@ -195,6 +200,7 @@ def render_line_chart_svg(
     plot_w = width - margin_l - margin_r
     plot_h = height - margin_t - margin_b
 
+    title, x_label, y_label = _xml_text(title), _xml_text(x_label), _xml_text(y_label)
     xs, ys = [], []
     cleaned = []
     for label, x, y in series:
@@ -203,7 +209,7 @@ def render_line_chart_svg(
         y = np.asarray(y, dtype=float)[::stride]
         keep = np.isfinite(x) & np.isfinite(y)
         x, y = x[keep], y[keep]
-        cleaned.append((label, x, y))
+        cleaned.append((_xml_text(label), x, y))
         if len(x):
             xs.append(x)
             ys.append(y)

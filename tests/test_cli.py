@@ -481,14 +481,19 @@ def test_fit_parses_only_the_rows_of_its_epoch(tiny_run, monkeypatch):
 
 
 def test_cli_import_leaves_the_process_pool_out():
-    # only a sweep with workers > 1 needs concurrent.futures
-    code = "import sys, sawtoothlab.cli\nassert 'concurrent.futures' not in sys.modules\n"
+    # only a sweep with workers > 1 needs concurrent.futures; urllib.request
+    # and xml.sax (through xml.sax.saxutils) would add tens of ms to every call
+    code = (
+        "import sys, sawtoothlab.cli\n"
+        "print(sorted({'concurrent.futures', 'urllib.request', 'xml.sax'} & sys.modules.keys()))\n"
+    )
     pythonpath = os.pathsep.join(filter(None, ["src", os.environ.get("PYTHONPATH")]))
     proc = subprocess.run(
         [sys.executable, "-c", code], cwd=Path(__file__).resolve().parents[1],
         env={**os.environ, "PYTHONPATH": pythonpath}, capture_output=True, text=True, timeout=120,
     )
     assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[]\n"
 
 
 def test_toy_command(tmp_path, capsys):

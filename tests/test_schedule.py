@@ -1,6 +1,7 @@
 """Batch ordering policies and the boundary-overlap statistic."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -137,26 +138,30 @@ def test_expected_overlap_values():
 Z = 4.0
 
 
-def _hypergeometric_moments(n, b):
-    """Mean, variance and fourth central moment of Hypergeometric(N, B, B).
+def _hypergeometric_moments(n, r, b):
+    """Mean, variance and fourth central moment of Hypergeometric(N, r, B).
 
-    The law of |S ∩ T| for independent uniform B-subsets S, T of N items,
-    computed from its pmf C(B, k) C(N-B, B-k) / C(N, B).
+    The law of |S ∩ T| for independent uniform subsets S of r items and T
+    of B items out of N, computed from its pmf C(r, k) C(N-r, B-k) / C(N, B).
     """
     total = math.comb(n, b)
-    ks = np.arange(max(0, 2 * b - n), b + 1)
-    pmf = np.array([math.comb(b, k) * math.comb(n - b, b - k) / total for k in ks])
+    ks = np.arange(max(0, r + b - n), min(r, b) + 1)
+    pmf = np.array([math.comb(r, k) * math.comb(n - r, b - k) / total for k in ks])
     mean = float(pmf @ ks)
     var = float(pmf @ (ks - mean) ** 2)
     mu4 = float(pmf @ (ks - mean) ** 4)
     return mean, var, mu4
 
 
-def _assert_follows_hypergeometric(mean, var, count, n, b):
-    """Sample mean and variance of `count` i.i.d. draws within Z SE of the law."""
-    law_mean, law_var, law_mu4 = _hypergeometric_moments(n, b)
-    assert law_mean == pytest.approx(b * b / n)
-    assert law_var == pytest.approx(b * b * (n - b) ** 2 / (n * n * (n - 1)))
+def _assert_follows_hypergeometric(mean, var, count, n, b, r=None):
+    """Sample mean and variance of `count` i.i.d. draws within Z SE of the law.
+
+    r is the tail's size, B (a full last batch) unless given.
+    """
+    r = b if r is None else r
+    law_mean, law_var, law_mu4 = _hypergeometric_moments(n, r, b)
+    assert law_mean == pytest.approx(r * b / n)
+    assert law_var == pytest.approx(r * b * (n - b) * (n - r) / (n * n * (n - 1)))
     assert abs(mean - law_mean) <= Z * math.sqrt(law_var / count)
     # the large-sample SE of a sample variance is sqrt((mu4 - var^2) / count)
     assert abs(var - law_var) <= Z * math.sqrt((law_mu4 - law_var**2) / count)
@@ -209,11 +214,7 @@ def test_overlap_with_a_short_last_batch_matches_real_boundaries(n, b, epochs):
     # B does not divide N, so each epoch ends on a batch of r = N mod B
     # items; the count at a boundary follows Hypergeometric(N, r, B)
     r = n % b
-    total = math.comb(n, b)
-    ks = np.arange(0, r + 1)
-    pmf = np.array([math.comb(r, k) * math.comb(n - r, b - k) / total for k in ks])
-    law_mean = float(pmf @ ks)
-    law_var = float(pmf @ (ks - law_mean) ** 2)
+    law_mean, law_var, _ = _hypergeometric_moments(n, r, b)
     assert law_mean == pytest.approx(r * b / n)
     assert expected_overlap(n, b) == pytest.approx(law_mean, rel=1e-12)
     counts = _shuffle_boundary_overlaps(n, b, epochs, seed=0)
@@ -223,9 +224,29 @@ def test_overlap_with_a_short_last_batch_matches_real_boundaries(n, b, epochs):
     assert se == pytest.approx(math.sqrt(law_var / epochs), rel=0.1)
 
 
-def test_overlap_mc_draws_are_unchanged_when_b_divides_n():
-    # one trial draws the tail and head batches, both of B items, from one
-    # generator; recorded before the tail size followed the last batch
-    assert boundary_overlap_mc(300, 10, 500, seed=3) == (0.314, 0.025614844143210434)
-    assert boundary_overlap_mc(200, 20, 2000, seed=5) == (2.014, 0.028342611944312982)
+def test_overlap_mc_with_a_short_last_batch_at_large_n():
+    # N = 10,007, B = 100: each epoch ends on a batch of r = 7 items, so
+    # the sampler walks 7 of the N items per trial
+    n, b, trials = 10007, 100, 20000
+    mean, se = boundary_overlap_mc(n, b, trials=trials, seed=0)
+    _assert_follows_hypergeometric(mean, se * se * trials, trials, n, b, r=7)
+
+
+def test_overlap_mc_memory_has_no_term_in_n():
+    # the temporaries are a few arrays of `trials` integers, whatever N is
+    tracemalloc.start()
+    try:
+        boundary_overlap_mc(10**8, 10, 1000)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
+
+
+def test_overlap_mc_selection_sampling_draws_are_pinned():
+    # all trials step through the tail's r items together, one
+    # rng.integers call per item; recorded from that sampler
+    assert boundary_overlap_mc(300, 10, 500, seed=3) == (0.332, 0.025551080513959906)
+    assert boundary_overlap_mc(200, 20, 2000, seed=5) == (2.02, 0.028804771435106274)
+    # B = N: every item joins the head with probability 1
     assert boundary_overlap_mc(7, 7, 5, seed=1) == (7.0, 0.0)

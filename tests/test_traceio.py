@@ -6,6 +6,7 @@ import math
 import re
 import tempfile
 from pathlib import Path
+from xml.etree import ElementTree
 
 import numpy as np
 import pytest
@@ -489,6 +490,17 @@ def test_svg_smoke(tmp_path):
     assert "demo" in text
     # all-NaN series contributes a legend entry but no polyline points
     assert text.count("<polyline") == 1
+
+
+def test_svg_escapes_its_text(tmp_path):
+    path = tmp_path / "chart.svg"
+    x = np.arange(5, dtype=float)
+    render_line_chart_svg(path, [("lr<1 & b", x, x)], title="a&b", x_label="t > 0", y_label="<y>")
+    # parse raises on a file that is not well-formed XML
+    root = ElementTree.parse(path).getroot()
+    texts = [el.text for el in root.iter("{http://www.w3.org/2000/svg}text")]
+    for text in ("lr<1 & b", "a&b", "t > 0", "<y>"):
+        assert text in texts
 
 
 def test_svg_empty_series(tmp_path):
