@@ -20,6 +20,7 @@ import numpy as np
 __all__ = [
     "QuadraticProblem",
     "Batch",
+    "EpochGather",
     "generate_quadratic",
     "batch_loss",
     "batch_grad",
@@ -91,14 +92,77 @@ def generate_quadratic(seed: int, num_functions: int, dim: int) -> QuadraticProb
     )
 
 
-def _sparse_grad(a, d, j, n: int) -> tuple[np.ndarray, np.ndarray]:
-    # np.unique(j, return_inverse=True) at a third of its cost on a few members
-    s = np.sort(j)
-    coords = s[np.concatenate(([True], s[1:] != s[:-1]))]
-    vals = np.zeros(len(coords))
-    np.add.at(vals, np.searchsorted(coords, j), 2.0 * a * d)
-    vals /= n
-    return coords, vals
+class EpochGather:
+    """A sample order cut into batches, with the problem's terms gathered once.
+
+    Batch k is order[k*B:(k+1)*B]; when B does not divide the order's length
+    a short last batch holds the rest. Construction gathers dim_index, a, b
+    and c along the whole order. At B > 1 it also sorts every full batch's
+    coordinates at once, keeping the argsort permutation, and flags the
+    batches whose members share a coordinate, so a step reads its batch's
+    row: one gather of x, the loss, and the gradient put in coordinate order
+    by the stored permutation. The gather holds arrays over the order and
+    nothing per batch.
+    """
+
+    def __init__(self, problem: QuadraticProblem, order: np.ndarray, batch_size: int) -> None:
+        body = len(order) - len(order) % batch_size
+        rows = order[:body].reshape(-1, batch_size) if batch_size > 1 else order
+        self.batch_size = batch_size
+        self._rows = len(rows)
+        self._j = problem.dim_index[rows]
+        self._a, self._b, self._c = problem.a[rows], problem.b[rows], problem.c[rows]
+        if batch_size > 1:
+            self._a2 = self._a * 2.0  # exact, so a2 * d rounds as 2.0 * a * d does
+            self._perm = np.argsort(self._j, axis=1)
+            self._coords = np.sort(self._j, axis=1)  # self._j[perm], row by row
+            self._shared = (self._coords[:, 1:] == self._coords[:, :-1]).any(axis=1)
+        rest = len(order) - body
+        self._last = EpochGather(problem, order[body:], rest) if rest else None
+
+    def __len__(self) -> int:
+        return self._rows + (self._last is not None)
+
+    def loss_grad(self, k: int, x: np.ndarray):
+        """(loss, coords, vals): batch k's mean loss and sparse gradient at x.
+
+        coords are the batch's unique coordinates in increasing order and vals
+        the mean gradient there, the bits that adding each member's
+        2 a (x[j] - b) into zeros in batch order and dividing by the batch
+        size gives. A single-member batch gives an int coordinate and a float
+        value by plain indexing, several times cheaper than a one-element
+        gather; its loss and value are the same numbers the array form
+        computes.
+        """
+        if self.batch_size == 1:
+            j = self._j.item(k)
+            a = self._a.item(k)
+            d = x.item(j) - self._b.item(k)
+            return a * (d * d) + self._c.item(k), j, 2.0 * a * d
+        if k >= self._rows:
+            return self._last.loss_grad(k - self._rows, x)
+        # each in-place operation rounds as a * (x[j] - b)^2 + c and
+        # 2 a (x[j] - b) do, and np.add.reduce sums in batch order as
+        # np.mean does, without its dispatch overhead
+        n = self.batch_size
+        j, a = self._j[k], self._a[k]
+        d = x[j]
+        d -= self._b[k]
+        terms = d * d
+        terms *= a
+        terms += self._c[k]
+        loss = np.add.reduce(terms).item() / n
+        g = self._a2[k] * d
+        if self._shared.item(k):
+            coords, inverse = np.unique(j, return_inverse=True)
+            vals = np.zeros(len(coords))
+            np.add.at(vals, inverse, g)
+        else:
+            coords = self._coords[k]
+            vals = g[self._perm[k]]
+            vals += 0.0  # a -0.0 product becomes the +0.0 that adding it into zeros gives
+        vals /= n
+        return loss, coords, vals
 
 
 def batch_loss(problem: QuadraticProblem, batch: Batch, x: np.ndarray) -> float:
@@ -127,26 +191,10 @@ def sparse_batch_grad(
 
 
 def batch_loss_grad(problem: QuadraticProblem, batch: Batch, x: np.ndarray):
-    """(loss, coords, vals): the batch's mean loss and sparse gradient from one gather.
-
-    A single-member batch gives an int coordinate and a float value by plain
-    indexing, several times cheaper than a one-element gather; its loss and
-    value are the same numbers the array form computes.
-    """
-    indices = batch.indices
-    if len(indices) == 1:
-        i = indices.item()
-        j = problem.dim_index.item(i)
-        a = problem.a.item(i)
-        d = x.item(j) - problem.b.item(i)
-        return a * (d * d) + problem.c.item(i), j, 2.0 * a * d
-    if len(indices) == 0:
+    """(loss, coords, vals) of one batch: EpochGather.loss_grad on a one-batch gather."""
+    if len(batch) == 0:
         raise ValueError("batch must be nonempty")
-    j = problem.dim_index[indices]
-    a, d = problem.a[indices], x[j] - problem.b[indices]
-    # np.mean's bits without its dispatch overhead
-    loss = float((a * d ** 2 + problem.c[indices]).sum() / len(indices))
-    return loss, *_sparse_grad(a, d, j, len(indices))
+    return EpochGather(problem, batch.indices, len(batch)).loss_grad(0, x)
 
 
 def full_loss(problem: QuadraticProblem, x: np.ndarray) -> float:

@@ -35,12 +35,14 @@ def batches_per_epoch(num_samples: int, batch_size: int) -> int:
 class EpochSchedule:
     """Yields batches for consecutive epochs under one ordering policy.
 
-    Every epoch's batch list is materialized when the epoch begins, so the
-    batch that will sit at any position is known at the epoch boundary (the
-    trainer uses this to freeze its tracked batch). Permutation policies
-    slice one epoch order into consecutive batches, with a short final batch
-    when batch_size does not divide num_samples; the replacement policy
-    draws ceil(N/B) independent uniform batches per nominal epoch.
+    Every epoch's sample order is drawn when the epoch begins, so the batch
+    that will sit at any position is known at the epoch boundary (the
+    trainer uses this to freeze its tracked batch). Batch k of an epoch is
+    the order's k-th slice of batch_size: permutation policies cut one
+    permutation of the samples, with a short final batch when batch_size
+    does not divide num_samples; the replacement policy draws ceil(N/B)
+    full batches of independent uniform indices per nominal epoch. The
+    schedule keeps the order alone and makes a Batch only when asked for one.
     """
 
     def __init__(
@@ -61,8 +63,8 @@ class EpochSchedule:
         self._seed = seed
         self.epoch = 0
         self._order: np.ndarray | None = None
-        self._batches: list[Batch] = []
-        self._cursor = 0
+        self._indices = np.empty(0, dtype=np.int64)  # the current epoch's order
+        self._cursor = 0  # start of the current epoch's first undrawn batch
 
     def _next_order(self) -> np.ndarray:
         if self.policy == "shuffle" or (self._order is None and self.initial_shuffle):
@@ -76,31 +78,40 @@ class EpochSchedule:
             # made at the first draw: a schedule built to check a config imports no numpy.random
             self.rng = np.random.default_rng(self._seed)
         self.epoch += 1
-        n, b = self.num_samples, self.batch_size
-        count = batches_per_epoch(n, b)
         if self.policy == "replacement":
-            indices = self.rng.integers(0, n, size=count * b)
+            n, b = self.num_samples, self.batch_size
+            self._indices = self.rng.integers(0, n, size=batches_per_epoch(n, b) * b)
         else:
-            indices = self._order = self._next_order()
-        self._batches = [Batch(indices=indices[k * b : (k + 1) * b]) for k in range(count)]
+            self._indices = self._order = self._next_order()
         self._cursor = 0
 
-    def _exhausted(self) -> bool:
-        return self._cursor >= len(self._batches)
+    def peek_epoch_order(self) -> np.ndarray:
+        """The current epoch's whole order, starting a new epoch if the last ran out."""
+        if self._cursor >= len(self._indices):
+            self._begin_epoch()
+        return self._indices
 
     def next_batch(self) -> Batch:
         """The next batch, starting a new epoch whenever the last ran out."""
-        if self._exhausted():
-            self._begin_epoch()
-        batch = self._batches[self._cursor]
-        self._cursor += 1
-        return batch
+        indices, start = self.peek_epoch_order(), self._cursor
+        self._cursor += self.batch_size
+        return Batch(indices=indices[start : self._cursor])
+
+    def next_epoch_order(self) -> np.ndarray:
+        """The order of the current epoch's undrawn batches, which then count as drawn.
+
+        A new epoch starts first if the last ran out, so called at each epoch
+        boundary it hands over every epoch whole: batch k is the k-th slice
+        of batch_size, as next_batch would have drawn it.
+        """
+        indices, start = self.peek_epoch_order(), self._cursor
+        self._cursor = len(indices)
+        return indices[start:]
 
     def peek_epoch_batches(self) -> list[Batch]:
         """The current epoch's batches, starting a new epoch if the last ran out."""
-        if self._exhausted():
-            self._begin_epoch()
-        return list(self._batches)
+        indices, b = self.peek_epoch_order(), self.batch_size
+        return [Batch(indices=indices[k : k + b]) for k in range(0, len(indices), b)]
 
 
 def _last_batch_size(num_samples: int, batch_size: int) -> int:

@@ -13,7 +13,6 @@ update delta are the post-update values of the same step.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 
@@ -26,13 +25,7 @@ from .optim import (
     rmsprop_step,
     sgd_momentum_step,
 )
-from .problem import (
-    QuadraticProblem,
-    batch_loss,
-    batch_loss_grad,
-    generate_quadratic,
-    toy_losses,
-)
+from .problem import EpochGather, QuadraticProblem, generate_quadratic, toy_losses
 from .schedule import EpochSchedule, batches_per_epoch
 
 __all__ = [
@@ -242,7 +235,7 @@ class RunResult:
 
 
 def _dot(arr: np.ndarray, coords, vals) -> float:
-    """arr . g for a gradient in batch_loss_grad's (coords, vals) form.
+    """arr . g for a gradient in EpochGather.loss_grad's (coords, vals) form.
 
     A single member's scalar pair multiplies; arrays reduce through matmul.
     """
@@ -275,11 +268,20 @@ def _stepper(config: RunConfig, state: OptimizerState, theta: np.ndarray):
 def run(config: RunConfig) -> RunResult:
     """Execute one configured run and return its trace and summaries."""
     problem = generate_quadratic(config.problem_seed, config.num_functions, config.dim)
-    return _train(config, functools.partial(batch_loss_grad, problem))
+    return _train(config, lambda order: EpochGather(problem, order, config.batch_size).loss_grad)
 
 
-def _train(config: RunConfig, loss_grad) -> RunResult:
-    """Train config's schedule on loss_grad(batch, theta) -> (loss, coords, vals)."""
+def _batch_losses(loss_grad, count: int, theta: np.ndarray) -> np.ndarray:
+    """The loss of each of an epoch's count batches at theta."""
+    return np.array([loss_grad(k, theta)[0] for k in range(count)])
+
+
+def _train(config: RunConfig, epoch_loss_grad) -> RunResult:
+    """Train config's schedule, one epoch at a time.
+
+    epoch_loss_grad(order) takes an epoch's sample order and returns its
+    loss_grad(k, theta) -> (loss, coords, vals) for the epoch's batch k.
+    """
     theta = np.full(config.dim, config.x_init, dtype=float)
     state = OptimizerState.fresh(config.dim)
     step_fn = _stepper(config, state, theta)
@@ -300,16 +302,12 @@ def _train(config: RunConfig, loss_grad) -> RunResult:
     for row in range(len(trace)):
         epoch, step = divmod(row, bpe)
         if step == 0:
-            if config.probe:
-                tracked = schedule.peek_epoch_batches()[config.tracked_batch]
+            loss_grad = epoch_loss_grad(schedule.next_epoch_order())
             if epoch + 1 == config.epoch_start_probe_epoch:
-                # probe_epoch_start_losses' operations, on loss_grad
-                batches = schedule.peek_epoch_batches()
-                epoch_start_losses = np.array([loss_grad(b, theta)[0] for b in batches])
+                epoch_start_losses = _batch_losses(loss_grad, bpe, theta)
             cum_dot = 0.0
-        batch = schedule.next_batch()
         gbuf[coords] = 0.0
-        loss, coords, vals = loss_grad(batch, theta)
+        loss, coords, vals = loss_grad(step, theta)
         g_norm = math.nan
         if math.isfinite(loss) and abs(loss) <= ceiling:
             gbuf[coords] = vals
@@ -318,7 +316,7 @@ def _train(config: RunConfig, loss_grad) -> RunResult:
         diverged = not math.isfinite(g_norm)
         probed = not diverged and config.probe and step % config.probe_stride == 0
         if probed:
-            tracked_loss, t_coords, t_vals = loss_grad(tracked, theta)
+            tracked_loss, t_coords, t_vals = loss_grad(config.tracked_batch, theta)
             dot_g = _dot(gbuf, t_coords, t_vals)
         if not diverged:
             delta = step_fn(coords, vals)  # state.delta, rewritten next step
@@ -352,9 +350,11 @@ def probe_epoch_start_losses(
     """Loss of every batch of the schedule's current epoch, all at one theta.
 
     At an epoch boundary this samples the distribution whose spread shrinks
-    like sigma^2/B with the batch size.
+    like sigma^2/B with the batch size. It reads the epoch's gather as a
+    run's epoch-start probe does.
     """
-    return np.array([batch_loss(problem, b, theta) for b in schedule.peek_epoch_batches()])
+    gather = EpochGather(problem, schedule.peek_epoch_order(), schedule.batch_size)
+    return _batch_losses(gather.loss_grad, len(gather), theta)
 
 
 def run_toy(
@@ -397,11 +397,14 @@ def run_toy(
         divergence_ceiling=math.inf,  # every finite toy run goes the full length
     )
 
-    def loss_grad(batch, theta):
-        i = batch.indices.item()
-        return toy_losses(theta.item())[i], 0, (1.0, -1.0)[i]
+    def epoch_loss_grad(order):
+        def loss_grad(k, theta):
+            i = order.item(k)
+            return toy_losses(theta.item())[i], 0, (1.0, -1.0)[i]
 
-    return _train(config, loss_grad)
+        return loss_grad
+
+    return _train(config, epoch_loss_grad)
 
 
 def oscillation_amplitude(trace: Trace) -> float:

@@ -6,6 +6,7 @@ import pytest
 import reference_impl
 from sawtoothlab.problem import (
     Batch,
+    EpochGather,
     QuadraticProblem,
     batch_grad,
     batch_loss,
@@ -16,6 +17,7 @@ from sawtoothlab.problem import (
     sparse_batch_grad,
     toy_losses,
 )
+from sawtoothlab.schedule import EpochSchedule
 
 # pinned regression values for the documented problem draws
 GOLDEN_FULL = 77578.3132532052
@@ -167,6 +169,54 @@ def test_batch_loss_and_sparse_batch_grad_match_the_reference_bits():
     for f in (batch_loss, sparse_batch_grad):
         with pytest.raises(ValueError):
             f(p, Batch(np.array([], dtype=np.int64)), x)
+
+
+def _reference_row(p, batch, x):
+    """The reference (loss, coords, vals) of one batch, as bytes."""
+    coords, vals = reference_impl.sparse_batch_grad(p, batch, x)
+    return np.float64(reference_impl.batch_loss(p, batch, x)).tobytes(), coords.tobytes(), vals.tobytes()
+
+
+@pytest.mark.parametrize("policy", ["shuffle", "replacement"])
+@pytest.mark.parametrize("batch_size", [1, 2, 3, 8, 16])
+def test_epoch_gather_rows_match_the_reference_bits(policy, batch_size):
+    # 61 functions on 7 coordinates: members share coordinates, and a
+    # permutation epoch ends on a short batch at every B > 1 (of one member
+    # at B = 2 and 3); replacement epochs hold full batches only
+    p = generate_quadratic(5, 61, 7)
+    x = np.random.default_rng(8).normal(size=7)
+    x[p.dim_index[0]] = p.b[0]  # member 0 sits exactly at its centre
+    sched = EpochSchedule(policy, 61, batch_size, seed=6)
+    centred = shared = False
+    for _ in range(3):
+        batches = sched.peek_epoch_batches()
+        gather = EpochGather(p, sched.next_epoch_order(), batch_size)
+        assert len(gather) == len(batches)
+        for k, batch in enumerate(batches):
+            loss, coords, vals = gather.loss_grad(k, x)
+            row = np.float64(loss).tobytes(), np.atleast_1d(coords).tobytes(), np.atleast_1d(vals).tobytes()
+            assert row == _reference_row(p, batch, x), k
+            centred |= 0 in batch.indices
+            shared |= len(np.unique(p.dim_index[batch.indices])) < len(batch)
+    assert centred and shared == (batch_size > 1)
+    if policy == "shuffle" and batch_size > 1:
+        assert len(batches[-1]) == 61 % batch_size
+
+
+@pytest.mark.parametrize("batch_size", [2, 4, 8])
+def test_epoch_gather_adds_negative_zero_products_into_positive_zeros(batch_size):
+    # every centre at 0 and x = -0.0: each member's 2 a (x - b) is -0.0, and
+    # the reference's sum into zeros makes it +0.0, sharing or not
+    p = generate_quadratic(5, 8, 8)
+    coeffs = p.coeffs.copy()
+    coeffs[:, 1] = 0.0
+    q = QuadraticProblem(num_functions=8, dim=8, coeffs=coeffs, dim_index=p.dim_index)
+    x = np.full(8, -0.0)
+    gather = EpochGather(q, np.arange(8), batch_size)
+    for k, batch in enumerate(Batch(np.arange(i, i + batch_size)) for i in range(0, 8, batch_size)):
+        loss, coords, vals = gather.loss_grad(k, x)
+        assert not np.signbit(vals).any()
+        assert (np.float64(loss).tobytes(), coords.tobytes(), vals.tobytes()) == _reference_row(q, batch, x)
 
 
 def test_coefficient_columns_are_contiguous_views():

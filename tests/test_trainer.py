@@ -2,6 +2,7 @@
 
 import hashlib
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -198,6 +199,21 @@ TRACE_DIGESTS = {
         {"weight_decay": 0.1},
         "22df07ef55022c3475daefb8f79d50d8d17ade8934ea711793d17095d89bae46",
     ),
+    # recorded while every step batch still sorted and searched its own coordinates
+    "adam_replacement_b4": (
+        {"policy": "replacement", "batch_size": 4, "tracked_batch": 3},
+        "88e112523653e181810458482092f9c42a99147fcae655fd1d30be4ffd0f9a4c",
+    ),
+    # test_minibatch_path_matches_building_blocks' crowded run: members share coordinates
+    "adam_crowded_b8": (
+        {"batch_size": 8, "dim": 6, "tracked_batch": 2},
+        "19db83e470cec1a7c0cbc194d317eab4fead142b11d45e994c9b3058b9b16dd1",
+    ),
+    # 60 = 3 * 16 + 12: each epoch ends on a short batch, which is the tracked one
+    "adam_b16_short_last_batch": (
+        {"batch_size": 16, "tracked_batch": 3},
+        "e77a048f16c04e9bbca8e98b870966b5945c25c714870287ea617a4cda3cd2f5",
+    ),
 }
 # The weight-decay run at B = 1 was recorded on the generic path, whose
 # one-element matmul probes gave +0.0 where a single member's product is
@@ -280,6 +296,22 @@ def test_diverged_step_is_recorded_unprobed_and_without_an_update():
     for name in PROBE_COLUMNS:
         assert not np.isnan(getattr(trace, name)[-2])
         assert np.isnan(getattr(trace, name)[-1])
+
+
+def test_run_memory_is_bounded_by_its_vectors_not_its_batch_count():
+    # N = dim = 20,000 at B = 1: 20,000 batches an epoch. Past the trace, the
+    # run's arrays (problem, dense vectors, one epoch's gather) peak near
+    # 3.6 MiB; a Batch object and an index view kept per batch took the peak
+    # to 10.2 MiB.
+    config = RunConfig(num_functions=20_000, dim=20_000, num_epochs=2)
+    tracemalloc.start()
+    try:
+        result = run(config)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    trace_bytes = sum(getattr(result.trace, name).nbytes for name in TRACE_COLUMNS)
+    assert peak - trace_bytes < 6 * 2**20
 
 
 def test_small_default_run_completes():
