@@ -12,10 +12,13 @@ epoch (maximal boundary re-exposure), and i.i.d. sampling with replacement
 from __future__ import annotations
 
 import math
+from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .problem import Batch
+if TYPE_CHECKING:
+    # imported where a Batch is made: the overlap command loads no problem code
+    from .problem import Batch
 
 __all__ = [
     "EpochSchedule",
@@ -93,6 +96,8 @@ class EpochSchedule:
 
     def next_batch(self) -> Batch:
         """The next batch, starting a new epoch whenever the last ran out."""
+        from .problem import Batch
+
         indices, start = self.peek_epoch_order(), self._cursor
         self._cursor += self.batch_size
         return Batch(indices=indices[start : self._cursor])
@@ -110,6 +115,8 @@ class EpochSchedule:
 
     def peek_epoch_batches(self) -> list[Batch]:
         """The current epoch's batches, starting a new epoch if the last ran out."""
+        from .problem import Batch
+
         indices, b = self.peek_epoch_order(), self.batch_size
         return [Batch(indices=indices[k : k + b]) for k in range(0, len(indices), b)]
 

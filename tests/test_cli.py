@@ -18,6 +18,7 @@ from sawtoothlab.analysis import (
     DEMO_MOMENTUM,
     DEMO_SECOND_MOMENT_PREV,
     DEMO_TRACKED_GRAD,
+    TRACE_MODELS,
     evaluate_fit,
     fit_model,
     nshape_sweep,
@@ -494,6 +495,64 @@ def test_cli_import_leaves_the_process_pool_out():
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == "[]\n"
+
+
+def _python_lines(code: str) -> list[str]:
+    """The stdout lines of `python -c code`, run from the repo root on the src tree."""
+    pythonpath = os.pathsep.join(filter(None, ["src", os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", code], cwd=Path(__file__).resolve().parents[1],
+        env={**os.environ, "PYTHONPATH": pythonpath}, capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout.splitlines()
+
+
+def test_cli_import_loads_no_numpy_and_no_command_module():
+    # --help, --version and the parser itself need none of them
+    lines = _python_lines(
+        "import sys, sawtoothlab.cli\n"
+        "print(sorted(m for m in sys.modules if m.split('.')[0] in ('numpy', 'sawtoothlab')))\n"
+    )
+    assert lines == ["['sawtoothlab', 'sawtoothlab.cli']"]
+
+
+def test_overlap_loads_only_the_schedule():
+    lines = _python_lines(
+        "import sys\n"
+        "from sawtoothlab.cli import main\n"
+        "assert main(['overlap', '--num-samples', '100', '--batch-size', '10', '--mc', '20']) == 0\n"
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'sawtoothlab'))\n"
+    )
+    assert lines[-1] == "['sawtoothlab', 'sawtoothlab.cli', 'sawtoothlab.schedule']"
+
+
+def test_sweep_workers_import_nothing(tmp_path):
+    # cmd_run loads _execute_point's modules before the pool forks, so no
+    # worker pays for importing them again. np.unique still loads numpy.ma in
+    # each worker: loading it before the fork would add 1.2 MB to the sweep's
+    # peak RSS, which is the parent process's at the fork
+    spec = tmp_path / "sweep.spec"
+    spec.write_text(TINY_SPEC + "beta2 = 0.999, 0.9\nworkers = 2\n")
+    lines = _python_lines(
+        "import sys\n"
+        "from sawtoothlab import cli\n"
+        "execute = cli._execute_point\n"
+        "def counted(job):\n"
+        "    before = set(sys.modules)\n"
+        "    summary = execute(job)\n"
+        "    new = sorted(m for m in set(sys.modules) - before if m.split('.')[:2] != ['numpy', 'ma'])\n"
+        "    sys.stdout.write(f'imported {new}\\n')\n"
+        "    return summary\n"
+        "cli._execute_point = counted\n"
+        f"assert cli.main(['run', {str(spec)!r}, '--out', {str(tmp_path / 'out')!r}]) == 0\n"
+    )
+    assert [line for line in lines if line.startswith("imported")] == ["imported []"] * 2
+
+
+def test_models_are_the_trace_models_in_their_order():
+    # cli spells the names out so that building the parser imports no analysis
+    assert cli.MODELS == tuple(TRACE_MODELS)
 
 
 def test_toy_command(tmp_path, capsys):

@@ -1,8 +1,12 @@
 """Instrumented training loop: trace semantics, step-path equivalence, probes."""
 
 import hashlib
+import os
 import re
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -626,3 +630,31 @@ def test_oscillation_amplitude_windowing():
     assert oscillation_amplitude(short) == 6.0
     with pytest.raises(ValueError):
         oscillation_amplitude(trace_of([]))
+
+
+def test_trace_bits_do_not_depend_on_the_blas_thread_count():
+    # OpenBLAS splits a dot product over its threads from 10,002 coordinates
+    # on, which moves the g_norm, m_norm and v_norm bits; at the default dim
+    # of 10,000, one thread and two must write the same trace
+    code = (
+        "import hashlib\n"
+        "import numpy as np\n"
+        "from sawtoothlab.trainer import TRACE_COLUMNS, RunConfig, run\n"
+        "trace = run(RunConfig(num_functions=400, dim=10000, batch_size=4, num_epochs=2,\n"
+        "                      seed=5, tracked_batch=0)).trace\n"
+        "for name in TRACE_COLUMNS:\n"
+        "    column = np.ascontiguousarray(getattr(trace, name))\n"
+        "    print(name, hashlib.sha256(column.tobytes()).hexdigest())\n"
+    )
+    pythonpath = os.pathsep.join(filter(None, ["src", os.environ.get("PYTHONPATH")]))
+    digests = []
+    for threads in ("1", "2"):
+        proc = subprocess.run(
+            [sys.executable, "-c", code], cwd=Path(__file__).resolve().parents[1],
+            env={**os.environ, "PYTHONPATH": pythonpath, "OPENBLAS_NUM_THREADS": threads},
+            capture_output=True, text=True, timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        digests.append(proc.stdout)
+    assert len(digests[0].splitlines()) == len(TRACE_COLUMNS)
+    assert digests[0] == digests[1]
