@@ -394,9 +394,10 @@ def esp_metrics(trace, window: int | None = None) -> list[EspMetrics]:
     """
     epochs = np.asarray(trace.epoch)
     losses = np.asarray(trace.batch_loss, dtype=float)
-    w = window if window is not None else default_window(int(np.bincount(epochs).max(initial=0)))
+    counts = np.bincount(epochs)  # rows per epoch; np.unique would import numpy.ma
+    w = window if window is not None else default_window(int(counts.max(initial=0)))
     out: list[EspMetrics] = []
-    for e in np.unique(epochs).tolist():
+    for e in np.flatnonzero(counts).tolist():
         y = losses[epochs == e]
         if len(y) < 2 * w:
             logger.warning("epoch %d has %d steps, shorter than two windows; skipped", e, len(y))

@@ -125,7 +125,7 @@ def cmd_run(args) -> None:
 
         import numpy.random  # noqa: F401 (the forked workers share it, not import it each)
 
-        with ProcessPoolExecutor(max_workers=spec.workers) as pool:
+        with ProcessPoolExecutor(max_workers=min(spec.workers, len(jobs))) as pool:
             summaries = list(pool.map(_execute_point, jobs))
     else:
         summaries = [_execute_point(job) for job in jobs]

@@ -1,4 +1,4 @@
-"""Incremental quadratic testbed and the two-batch toy objective.
+"""Incremental quadratic testbed: the problem draw, its batches and its losses.
 
 The testbed objective is a sum of N one-dimensional quadratics, each pinned
 to a single coordinate of the parameter vector:
@@ -28,7 +28,6 @@ __all__ = [
     "batch_loss_grad",
     "full_loss",
     "full_loss_minimum",
-    "toy_losses",
 ]
 
 
@@ -217,13 +216,3 @@ def full_loss_minimum(problem: QuadraticProblem) -> tuple[np.ndarray, float]:
     touched = wsum > 0
     x_star[touched] = wbsum[touched] / wsum[touched]
     return x_star, full_loss(problem, x_star)
-
-
-def toy_losses(theta: float) -> tuple[float, float]:
-    """Batch losses (A, B) of the toy objective at theta.
-
-    The two batches are linear, A(theta) = theta and B(theta) = 1 - theta.
-    Their sum is constant, so any movement of theta trades one batch loss
-    against the other; gradients are +1 and -1 regardless of theta.
-    """
-    return (theta, 1.0 - theta)

@@ -25,18 +25,18 @@ from .optim import (
     rmsprop_step,
     sgd_momentum_step,
 )
-from .problem import EpochGather, QuadraticProblem, generate_quadratic, toy_losses
+from .problem import EpochGather, generate_quadratic
 from .schedule import EpochSchedule, batches_per_epoch
 
 __all__ = [
     "TRACE_COLUMNS",
     "TRACE_DTYPE",
+    "PROBE_COLUMNS",
     "Trace",
     "RunConfig",
     "RunResult",
     "run",
     "run_toy",
-    "probe_epoch_start_losses",
     "oscillation_amplitude",
 ]
 
@@ -127,6 +127,7 @@ class RunConfig:
     probe: bool = True
     tracked_batch: int = 100
     probe_stride: int = 1
+    # record every batch's loss at one theta at this epoch's start; spread shrinks like sigma^2/B
     epoch_start_probe_epoch: int | None = None
     # testbed batch losses live in O(1..20); runaway runs shoot past 1e7
     # within the first epoch, so 1e6 separates the two regimes cleanly
@@ -271,11 +272,6 @@ def run(config: RunConfig) -> RunResult:
     return _train(config, lambda order: EpochGather(problem, order, config.batch_size).loss_grad)
 
 
-def _batch_losses(loss_grad, count: int, theta: np.ndarray) -> np.ndarray:
-    """The loss of each of an epoch's count batches at theta."""
-    return np.array([loss_grad(k, theta)[0] for k in range(count)])
-
-
 def _train(config: RunConfig, epoch_loss_grad) -> RunResult:
     """Train config's schedule, one epoch at a time.
 
@@ -304,7 +300,7 @@ def _train(config: RunConfig, epoch_loss_grad) -> RunResult:
         if step == 0:
             loss_grad = epoch_loss_grad(schedule.next_epoch_order())
             if epoch + 1 == config.epoch_start_probe_epoch:
-                epoch_start_losses = _batch_losses(loss_grad, bpe, theta)
+                epoch_start_losses = np.array([loss_grad(k, theta)[0] for k in range(bpe)])
             cum_dot = 0.0
         gbuf[coords] = 0.0
         loss, coords, vals = loss_grad(step, theta)
@@ -342,19 +338,6 @@ def _train(config: RunConfig, epoch_loss_grad) -> RunResult:
             )
             break
     return RunResult(config, trace, diverged, epoch_start_losses)
-
-
-def probe_epoch_start_losses(
-    problem: QuadraticProblem, schedule: EpochSchedule, theta: np.ndarray
-) -> np.ndarray:
-    """Loss of every batch of the schedule's current epoch, all at one theta.
-
-    At an epoch boundary this samples the distribution whose spread shrinks
-    like sigma^2/B with the batch size. It reads the epoch's gather as a
-    run's epoch-start probe does.
-    """
-    gather = EpochGather(problem, schedule.peek_epoch_order(), schedule.batch_size)
-    return _batch_losses(gather.loss_grad, len(gather), theta)
 
 
 def run_toy(
@@ -398,9 +381,11 @@ def run_toy(
     )
 
     def epoch_loss_grad(order):
+        # batch A's loss is theta and B's 1 - theta, so a step trades one for the other
         def loss_grad(k, theta):
-            i = order.item(k)
-            return toy_losses(theta.item())[i], 0, (1.0, -1.0)[i]
+            if order.item(k):
+                return 1.0 - theta.item(), 0, -1.0
+            return theta.item(), 0, 1.0
 
         return loss_grad
 

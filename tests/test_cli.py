@@ -529,9 +529,7 @@ def test_overlap_loads_only_the_schedule():
 
 def test_sweep_workers_import_nothing(tmp_path):
     # cmd_run loads _execute_point's modules before the pool forks, so no
-    # worker pays for importing them again. np.unique still loads numpy.ma in
-    # each worker: loading it before the fork would add 1.2 MB to the sweep's
-    # peak RSS, which is the parent process's at the fork
+    # worker pays for importing them again
     spec = tmp_path / "sweep.spec"
     spec.write_text(TINY_SPEC + "beta2 = 0.999, 0.9\nworkers = 2\n")
     lines = _python_lines(
@@ -541,13 +539,53 @@ def test_sweep_workers_import_nothing(tmp_path):
         "def counted(job):\n"
         "    before = set(sys.modules)\n"
         "    summary = execute(job)\n"
-        "    new = sorted(m for m in set(sys.modules) - before if m.split('.')[:2] != ['numpy', 'ma'])\n"
+        "    new = sorted(set(sys.modules) - before)\n"
         "    sys.stdout.write(f'imported {new}\\n')\n"
         "    return summary\n"
         "cli._execute_point = counted\n"
         f"assert cli.main(['run', {str(spec)!r}, '--out', {str(tmp_path / 'out')!r}]) == 0\n"
     )
     assert [line for line in lines if line.startswith("imported")] == ["imported []"] * 2
+
+
+def test_run_loads_no_numpy_ma(tmp_path):
+    # numpy.ma costs about 19 ms and 1.2 MB of RSS, and no step of a run reads it
+    spec = tmp_path / "tiny.spec"
+    spec.write_text(TINY_SPEC)
+    lines = _python_lines(
+        "import sys\n"
+        "from sawtoothlab.cli import main\n"
+        f"assert main(['run', {str(spec)!r}, '--out', {str(tmp_path / 'out')!r}]) == 0\n"
+        "print('numpy.ma' in sys.modules)\n"
+    )
+    assert lines[-1] == "False"
+
+
+def test_sweep_starts_no_more_workers_than_points(tmp_path, monkeypatch):
+    # the fork start method starts max_workers processes up front, so the
+    # stand-in records the request and runs the points in this process
+    import concurrent.futures
+
+    requested = []
+
+    class RecordingPool:
+        def __init__(self, max_workers):
+            requested.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, jobs):
+            return map(fn, jobs)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
+    spec = tmp_path / "sweep.spec"
+    spec.write_text(TINY_SPEC + "beta2 = 0.999, 0.9\nworkers = 8\n")
+    assert main(["run", str(spec), "--out", str(tmp_path / "out")]) == 0
+    assert requested == [2]
 
 
 def test_models_are_the_trace_models_in_their_order():

@@ -1,4 +1,4 @@
-"""Separable-quadratic testbed and the two-batch toy objective."""
+"""Separable-quadratic testbed."""
 
 import numpy as np
 import pytest
@@ -15,7 +15,6 @@ from sawtoothlab.problem import (
     batch_loss_grad,
     generate_quadratic,
     sparse_batch_grad,
-    toy_losses,
 )
 from sawtoothlab.schedule import EpochSchedule
 
@@ -225,13 +224,3 @@ def test_coefficient_columns_are_contiguous_views():
         assert col.flags.c_contiguous
         assert np.shares_memory(col, p.coeffs)
         np.testing.assert_array_equal(col, p.coeffs[:, k])
-
-
-def test_toy_losses():
-    assert toy_losses(0.0) == (0.0, 1.0)
-    g, h = toy_losses(0.3)
-    assert g == pytest.approx(0.3)
-    # the two components always sum to exactly one
-    for theta in (-2.0, 0.0, 0.25, 0.707, 19.5):
-        a, b = toy_losses(theta)
-        assert a + b == 1.0

@@ -29,7 +29,6 @@ from sawtoothlab.trainer import (
     RunConfig,
     Trace,
     oscillation_amplitude,
-    probe_epoch_start_losses,
     run,
     run_toy,
 )
@@ -510,38 +509,30 @@ def test_epoch_start_probe_capture():
     assert run(RunConfig(**SMALL)).epoch_start_losses is None
 
 
-@pytest.mark.parametrize("batch_size", [1, 4])
-def test_epoch_start_probe_matches_probe_epoch_start_losses(batch_size):
-    # the row loop's probe runs probe_epoch_start_losses' operations on theta = x_init
-    config = RunConfig(epoch_start_probe_epoch=1, batch_size=batch_size, **SMALL)
-    problem = generate_quadratic(config.problem_seed, config.num_functions, config.dim)
-    expected = probe_epoch_start_losses(
-        problem, config.schedule(), np.full(config.dim, config.x_init)
+def _epoch_start_losses(num_functions, dim, batch_size, x_init):
+    """The run's epoch-start probe of epoch 1, on problem seed 7 and schedule seed 3."""
+    config = RunConfig(
+        num_functions=num_functions, dim=dim, problem_seed=7, x_init=x_init,
+        batch_size=batch_size, num_epochs=1, seed=3, probe=False, epoch_start_probe_epoch=1,
     )
-    losses = run(config).epoch_start_losses
-    assert len(losses) == batches_per_epoch(config.num_functions, batch_size)
-    np.testing.assert_array_equal(losses.view(np.int64), expected.view(np.int64))
+    return run(config).epoch_start_losses
 
 
 @pytest.mark.parametrize("batch_size", [1, 3, 8])
 def test_epoch_start_losses_are_batch_losses(batch_size):
     problem = generate_quadratic(7, 500, 40)
     theta = np.random.default_rng(2).normal(size=40)
-    sched = EpochSchedule("shuffle", 500, batch_size, seed=3)
-    losses = probe_epoch_start_losses(problem, sched, theta)
-    batches = sched.peek_epoch_batches()
+    losses = _epoch_start_losses(500, 40, batch_size, theta)
+    batches = EpochSchedule("shuffle", 500, batch_size, seed=3).peek_epoch_batches()
     assert len(losses) == len(batches)
     for k, batch in enumerate(batches):
         assert losses[k] == batch_loss(problem, batch, theta)
 
 
 def test_epoch_start_spread_shrinks_with_batch_size():
-    problem = generate_quadratic(7, 4096, 512)
-    theta = np.full(512, 3.0)
     variances = {}
     for B in (1, 4, 16, 64):
-        sched = EpochSchedule("shuffle", 4096, B, seed=3)
-        losses = probe_epoch_start_losses(problem, sched, theta)
+        losses = _epoch_start_losses(4096, 512, B, 3.0)
         assert len(losses) == 4096 // B
         variances[B] = float(np.var(losses, ddof=1))
     for B in (4, 16, 64):
