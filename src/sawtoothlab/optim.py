@@ -25,14 +25,13 @@ the coordinates the gradient can be nonzero on (one int, or an array of
 unique ints) and ``grad`` its values there; the moment updates then touch
 only those coordinates, the values are not checked (a caller in a hot loop
 checks them once, at its own cost), and the result matches the dense form
-on the scattered gradient value for value.
+on the scattered gradient value for value. The dense form is the sparse
+form over every coordinate (index ``...``), through the same update lines.
 
 Every stepper writes its delta into a dense buffer the state owns and
 returns that array, valid until the state's next step; a caller that needs
-it longer copies it. Until the update is written that buffer is free, so a
-dense-form step scales its moment inputs there. Off the periodic flush, a
-sparse step without weight decay thus allocates no dense array, and a dense
-one allocates only its finiteness mask.
+it longer copies it. Off the periodic flush, a sparse step without weight
+decay thus allocates no dense array; a dense step allocates temporaries.
 
 Adam divides the moments by the bias corrections c1 = 1 - beta1^t and
 c2 = 1 - beta2^t only while they differ from 1.0. In float64 each rounds to
@@ -93,7 +92,8 @@ class AdamConfig:
 class OptimizerState:
     """First moment, second moment, and a monotone step counter.
 
-    ``delta`` receives each step's update and ``temp`` its intermediates.
+    ``delta`` receives each step's update and ``temp`` its intermediates; a
+    dense gradient may live in ``delta`` but not in ``temp``.
     """
 
     m: np.ndarray
@@ -120,8 +120,6 @@ def _check_grad(state: OptimizerState, grad, coords):
         )
     if not np.all(np.isfinite(grad)):
         raise ValueError("gradient contains non-finite entries")
-    if np.may_share_memory(grad, state.delta):
-        grad = grad.copy()  # the step scales its moment inputs in state.delta
     return grad, ...
 
 
@@ -146,22 +144,14 @@ flush clears them.
 """
 
 
-def _ema(arr: np.ndarray, beta: float, idx, x, t: int, scratch: np.ndarray,
-         square: bool = False) -> None:
+def _ema(arr: np.ndarray, beta: float, idx, x, t: int, square: bool = False) -> None:
     """arr <- beta*arr + (1-beta)*x, where x lives on arr[idx], at step t.
 
-    With square, x^2 takes x's place. A dense x (idx is ...) is squared and
-    scaled in scratch, a full-length buffer this overwrites; a sparse x is
-    small enough to scale in a temporary.
+    With square, x^2 takes x's place.
     Every FLUSH_EVERY steps the magnitudes below MOMENT_FLOOR go to zero.
     """
     arr *= beta
-    if idx is ...:
-        if square:
-            x = np.multiply(x, x, out=scratch)
-        arr += np.multiply(x, 1.0 - beta, out=scratch)
-    else:
-        arr[idx] += (1.0 - beta) * (x * x if square else x)
+    arr[idx] += (1.0 - beta) * (x * x if square else x)
     if t % FLUSH_EVERY == 0:
         mask = np.absolute(arr) < MOMENT_FLOOR
         if mask.any():
@@ -199,8 +189,8 @@ def adam_step(
 
     b1, b2 = config.beta1, config.beta2
     state.t += 1
-    _ema(state.m, b1, idx, grad, state.t, state.delta)
-    _ema(state.v, b2, idx, grad, state.t, state.delta, square=True)
+    _ema(state.m, b1, idx, grad, state.t)
+    _ema(state.v, b2, idx, grad, state.t, square=True)
 
     c1 = c2 = 1.0  # raw moments
     if config.bias_correction:
@@ -225,23 +215,21 @@ def rmsprop_step(
 ) -> np.ndarray:
     """Advance RMSProp by one step.
 
-    Adam with beta1 = 0 and bias correction disabled, bit for bit in the dense
-    form (a sparse zero update can differ in sign): the raw gradient steers
-    the update. The update is ``state.delta``, valid until the next step.
+    Adam with beta1 = 0 and no bias correction, bit for bit when the gradient
+    spans every coordinate (a sparse zero update can differ in sign): the raw
+    gradient steers it. The update is ``state.delta``, valid until the next step.
     """
     grad, idx = _check_grad(state, grad, coords)
     state.t += 1
-    _ema(state.v, config.beta2, idx, grad, state.t, state.delta, square=True)
+    _ema(state.v, config.beta2, idx, grad, state.t, square=True)
 
-    denom = np.sqrt(state.v, out=state.delta)
+    denom = np.sqrt(state.v, out=state.temp)
     denom += config.epsilon
-    if coords is None:
-        delta = np.divide(grad, denom, out=denom)
-    else:
-        # the dense form divides a zero by every other coordinate's denominator
-        touched = grad / denom[coords]
-        delta = np.divide(0.0, denom, out=denom)
-        delta[coords] = touched
+    # off the index the scattered gradient is a zero, divided like the rest;
+    # the gradient is read before state.delta, where it may live, is written
+    touched = grad / denom[idx]
+    delta = np.divide(0.0, denom, out=state.delta)
+    delta[idx] = touched
     delta *= -config.lr
     return delta
 
@@ -263,5 +251,5 @@ def sgd_momentum_step(
         raise ValueError(f"beta1 must lie in [0, 1), got {beta1}")
     grad, idx = _check_grad(state, grad, coords)
     state.t += 1
-    _ema(state.m, beta1, idx, grad, state.t, state.delta)
+    _ema(state.m, beta1, idx, grad, state.t)
     return np.multiply(state.m, -lr, out=state.delta)

@@ -79,6 +79,11 @@ def test_esp_metrics_explicit_window():
     (m,) = esp_metrics(tr, window=5)
     assert m.loss_start == pytest.approx(np.mean(1.0 + 0.1 * i[:5]))
     assert m.loss_end == pytest.approx(np.mean(1.0 + 0.1 * i[-5:]))
+    # window 1 on two-step epochs leaves two averages, too few for a parabola
+    m1, m2 = esp_metrics(_trace([1, 1, 2, 2], [3.0, 1.0, 2.0, 5.0]), window=1)
+    assert m1.rise == -2.0 and m2.rise == 3.0
+    assert m1.curvature == m2.curvature == 0.0
+    assert m1.concavity_sign == m2.concavity_sign == 0
 
 
 def test_esp_metrics_concavity():
@@ -503,6 +508,13 @@ def test_degenerate_column_dropped_at_beta2_one():
     assert any("degenerate" in n for n in fit.notes)
 
 
+def test_fewer_steps_than_coefficients_leave_the_fit_rank_deficient():
+    # two steps cannot pin v_norm's three coefficients, though no column vanishes
+    fit = fit_v_norm([0.0, 1.0], [1.0, 2.0], 0.999)
+    assert fit.degenerate
+    assert fit.notes == ("design matrix is rank deficient; minimum-norm solution",)
+
+
 def test_dot_dtheta_at_beta2_one_has_no_slope():
     t = np.arange(1, 200, dtype=float)
     y = 0.4 + 1.0 / t
@@ -522,6 +534,12 @@ def test_series_validation():
         fit_m_norm([1.0, 2.0], [1.0, 2.0], beta1=1.0, beta2=0.999)
     with pytest.raises(ValueError):
         fit_g_norm([1.0, 2.0], [1.0, 2.0], beta2=1.5)
+    with pytest.raises(ValueError, match="unknown model 'nope'"):
+        fit_model("nope", [1.0, 2.0], [1.0, 2.0], 0.9, 0.999)
+    unknown = FitResult(model="nope", coeffs={}, r_squared=1.0, residual_norm=0.0,
+                        beta1=0.9, beta2=0.999)
+    with pytest.raises(ValueError, match="unknown model 'nope'"):
+        evaluate_fit(unknown, [1.0, 2.0])
 
 
 def test_a_missing_beta_is_out_of_range():

@@ -726,6 +726,11 @@ def test_nshape_custom_vectors(tmp_path, capsys):
     missing = tmp_path / "missing.txt"
     missing.write_text("grad = 1\n")
     assert main(["nshape", "--vectors", str(missing), "--out", str(out)]) == 2
+    ragged = tmp_path / "ragged.txt"
+    ragged.write_text(vecs.read_text().replace("grad_squared = 1, 1", "grad_squared = 1"))
+    capsys.readouterr()
+    assert main(["nshape", "--vectors", str(ragged), "--out", str(out)]) == 2
+    assert capsys.readouterr().err == f"error: {ragged}: vectors must share one length\n"
 
 
 def test_overlap_command(capsys):
@@ -826,6 +831,10 @@ def test_overlap_reports_an_exact_match(capsys):
     out = capsys.readouterr().out
     assert "monte carlo (50 trials): 7 +/- 0 (exact match with expected)" in out
     assert "inf" not in out
+    # N = 2, B = 1: a trial counts 0 or 1 against 0.5, and seed 0 draws 0 twice
+    argv = ["overlap", "--num-samples", "2", "--batch-size", "1", "--mc", "2", "--seed", "0"]
+    assert main(argv) == 0
+    assert "monte carlo (2 trials): 0 +/- 0 (inf se from expected)" in capsys.readouterr().out
     assert main(["overlap", "--num-samples", "200", "--batch-size", "20", "--mc", "2000"]) == 0
     assert re.search(
         r"monte carlo \(2000 trials\): \S+ \+/- \S+ \(\d+\.\d\d se from expected\)",

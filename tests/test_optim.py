@@ -1,11 +1,14 @@
 """Stepper unit tests: hand-evaluated values, invariants, reductions."""
 
+import ast
+import inspect
 import tracemalloc
 
 import numpy as np
 import pytest
 
 import reference_impl
+from sawtoothlab import optim
 from sawtoothlab.optim import (
     FLUSH_EVERY,
     MOMENT_FLOOR,
@@ -41,6 +44,10 @@ def test_sgd_rejects_a_step_size_that_is_not_positive_and_finite():
     for lr in (0.0, np.inf, np.nan):
         with pytest.raises(ValueError, match="lr must be positive and finite"):
             sgd_momentum_step(OptimizerState.fresh(2), lr, 0.9, np.array([1.0, 0.0]))
+    # so does a momentum outside [0, 1), as AdamConfig rejects it
+    for beta1 in (-0.1, 1.0, np.nan):
+        with pytest.raises(ValueError, match=r"beta1 must lie in \[0, 1\)"):
+            sgd_momentum_step(OptimizerState.fresh(2), 0.1, beta1, np.array([1.0, 0.0]))
 
 
 def test_fresh_state_shape_and_zero():
@@ -103,6 +110,8 @@ def test_weight_decay_augments_gradient():
     ref = adam_step(OptimizerState.fresh(2), AdamConfig(), g + 0.1 * theta)
     got = adam_step(OptimizerState.fresh(2), cfg, g, theta=theta)
     np.testing.assert_array_equal(got, ref)
+    with pytest.raises(ValueError, match="weight_decay > 0 requires the current parameters"):
+        adam_step(OptimizerState.fresh(2), cfg, g)
 
 
 def test_gradient_validation():
@@ -221,28 +230,32 @@ def test_flush_threshold_is_far_below_normal_scale():
     assert MOMENT_FLOOR * 0.9 ** (FLUSH_EVERY - 1) > 2.3e-308
 
 
+def _step(optimizer, cfg, state, grad, theta, coords=None):
+    if optimizer == "adam":
+        return adam_step(state, cfg, grad, theta, coords)
+    if optimizer == "rmsprop":
+        return rmsprop_step(state, cfg, grad, coords)
+    return sgd_momentum_step(state, cfg.lr, cfg.beta1, grad, coords)
+
+
 @pytest.mark.parametrize(
     "optimizer, weight_decay",
     [("adam", 0.0), ("adam", 0.1), ("rmsprop", 0.0), ("sgd", 0.0)],
 )
 def test_sparse_form_matches_dense_form(optimizer, weight_decay):
     # (coords, values) steps exactly like the dense scattered gradient, into
-    # the state's own delta, across two flushes and for scalar coordinates too
+    # the state's own delta, across two flushes, for scalar coordinates and
+    # for a batch on every coordinate too
     dim = 9
     cfg = AdamConfig(lr=0.05, beta2=0.99, weight_decay=weight_decay)
-
-    def step(state, grad, theta, coords=None):
-        if optimizer == "adam":
-            return adam_step(state, cfg, grad, theta, coords)
-        if optimizer == "rmsprop":
-            return rmsprop_step(state, cfg, grad, coords)
-        return sgd_momentum_step(state, cfg.lr, cfg.beta1, grad, coords)
-
     rng = np.random.default_rng(5)
     dense, sparse = OptimizerState.fresh(dim), OptimizerState.fresh(dim)
     theta = rng.normal(size=dim)
     for k in range(150):
-        coords = np.sort(rng.choice(dim, size=1 + k % 4, replace=False))
+        if k % 5 == 4:  # a batch that spans every coordinate
+            coords = np.arange(dim)
+        else:
+            coords = np.sort(rng.choice(dim, size=1 + k % 4, replace=False))
         vals = rng.normal(size=len(coords))
         g = np.zeros(dim)
         g[coords] = vals
@@ -250,14 +263,35 @@ def test_sparse_form_matches_dense_form(optimizer, weight_decay):
             coords, vals = int(coords[0]), float(vals[0])
             g[:] = 0.0
             g[coords] = vals
-        want = step(dense, g, theta)
-        got = step(sparse, vals, theta, coords)
+        want = _step(optimizer, cfg, dense, g, theta)
+        got = _step(optimizer, cfg, sparse, vals, theta, coords)
         assert got is sparse.delta
         np.testing.assert_array_equal(got, want)
         theta += want
     assert sparse.t == dense.t == 150
     np.testing.assert_array_equal(sparse.m, dense.m)
     np.testing.assert_array_equal(sparse.v, dense.v)
+
+
+def test_only_check_grad_tells_the_gradient_forms_apart():
+    # the dense form is the sparse form over every coordinate (index ...), so
+    # a function that compares with ... or asks whether coords is None keeps
+    # a second update path; _check_grad alone validates the dense form
+    scanned, found = set(), []
+    for func in ast.walk(ast.parse(inspect.getsource(optim))):
+        if not isinstance(func, ast.FunctionDef) or func.name == "_check_grad":
+            continue
+        scanned.add(func.name)
+        for node in ast.walk(func):
+            if not isinstance(node, ast.Compare):
+                continue
+            operands = [node.left, *node.comparators]
+            consts = [o.value for o in operands if isinstance(o, ast.Constant)]
+            names = {o.id for o in operands if isinstance(o, ast.Name)}
+            if ... in consts or ("coords" in names and None in consts):
+                found.append(f"{func.name}:{node.lineno}")
+    assert {"_ema", "adam_step", "rmsprop_step", "sgd_momentum_step"} <= scanned
+    assert not found
 
 
 @pytest.mark.parametrize("optimizer", ["adam", "rmsprop", "sgd"])
@@ -290,42 +324,25 @@ def test_sparse_step_allocates_no_dense_array(optimizer):
     assert peak < 8 * dim // 100
 
 
-def test_dense_weight_decay_step_allocates_only_its_finiteness_mask():
-    # the decayed gradient, m's scaled input and g^2 all live in the state's
-    # buffers; the one dense temporary left is isfinite's bool mask (dim bytes)
-    dim = 40_000
-    cfg = AdamConfig(weight_decay=0.1)
-    state = OptimizerState.fresh(dim)
-    rng = np.random.default_rng(2)
-    grad = rng.normal(size=dim)
-    theta = rng.normal(size=dim)
-
-    adam_step(state, cfg, grad, theta)  # warm-up, off the measurement
-    tracemalloc.start()
-    try:
-        delta = adam_step(state, cfg, grad, theta)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert state.t % FLUSH_EVERY != 0
-    assert delta is state.delta
-    # one dense float vector is 8 * dim = 320 KB
-    assert peak < 8 * dim // 4
-
-
-def test_dense_step_reads_a_gradient_that_aliases_its_delta():
-    # the dense form scales its moment inputs in state.delta, so a gradient
-    # living there is copied before the first moment overwrites it
-    cfg = AdamConfig(lr=0.05)
+@pytest.mark.parametrize(
+    "optimizer, weight_decay",
+    [("adam", 0.0), ("adam", 0.1), ("rmsprop", 0.0), ("sgd", 0.0)],
+)
+def test_dense_step_reads_a_gradient_that_aliases_its_delta(optimizer, weight_decay):
+    # the gradient may live in state.delta, so every stepper reads it for
+    # the last time before it writes the update there
+    cfg = AdamConfig(lr=0.05, weight_decay=weight_decay)
     rng = np.random.default_rng(9)
     aliased, plain = OptimizerState.fresh(5), OptimizerState.fresh(5)
+    theta = rng.normal(size=5)
     for _ in range(3):
         g = rng.normal(size=5)
-        want = adam_step(plain, cfg, g).copy()
+        want = _step(optimizer, cfg, plain, g, theta).copy()
         aliased.delta[:] = g
-        got = adam_step(aliased, cfg, aliased.delta)
-        np.testing.assert_array_equal(got, want)
-    np.testing.assert_array_equal(aliased.v, plain.v)
+        got = _step(optimizer, cfg, aliased, aliased.delta, theta)
+        for a, b in ((got, want), (aliased.m, plain.m), (aliased.v, plain.v)):
+            np.testing.assert_array_equal(a.view(np.int64), b.view(np.int64))
+        theta += want
 
 
 @pytest.mark.parametrize("form", ["dense", "sparse"])

@@ -46,6 +46,24 @@ def test_generation_is_deterministic_and_valid():
     assert not np.array_equal(p1.coeffs, p3.coeffs)
 
 
+def test_malformed_problems_are_rejected():
+    fields = dict(num_functions=1, dim=4, coeffs=np.array([[1.0, 0.0, 0.5]]),
+                  dim_index=np.array([1]))
+    QuadraticProblem(**fields)
+    for change, message in [
+        ({"coeffs": np.ones((2, 3))}, r"coeffs must have shape \(1, 3\), got \(2, 3\)"),
+        ({"dim_index": np.array([0, 1])}, "dim_index must have one entry per function"),
+        ({"coeffs": np.array([[-1.0, 0.0, 0.5]])}, "curvatures must be nonnegative"),
+        ({"dim_index": np.array([4])}, r"dim_index entries must lie in \[0, dim\)"),
+        ({"dim_index": np.array([-1])}, r"dim_index entries must lie in \[0, dim\)"),
+    ]:
+        with pytest.raises(ValueError, match=message):
+            QuadraticProblem(**(fields | change))
+    for num_functions, dim in ((0, 4), (4, 0)):
+        with pytest.raises(ValueError, match="num_functions and dim must be >= 1"):
+            generate_quadratic(0, num_functions, dim)
+
+
 def test_single_function_loss_and_grad():
     p = _single(2.0, 1.0, 0.5)
     x = np.zeros(4)

@@ -507,6 +507,12 @@ def test_svg_empty_series(tmp_path):
     path = tmp_path / "empty.svg"
     render_line_chart_svg(path, [])
     assert "<svg" in path.read_text()
+    # one point spans no range on either axis; each axis then spans one unit
+    render_line_chart_svg(path, [("one", [3.0], [2.0])])
+    text = path.read_text()
+    assert '<polyline points="64.00,436.00"' in text
+    labels = re.findall(r'text-anchor="(?:middle|end)">([^<]*)</text>', text)
+    assert labels == ["3", "4", "2", "3"]
 
 
 def _polyline_points(path):
