@@ -28,10 +28,53 @@ checks them once, at its own cost), and the result matches the dense form
 on the scattered gradient value for value. The dense form is the sparse
 form over every coordinate (index ``...``), through the same update lines.
 
-Every stepper writes its delta into a dense buffer the state owns and
-returns that array, valid until the state's next step; a caller that needs
-it longer copies it. Off the periodic flush, a sparse step without weight
-decay thus allocates no dense array; a dense step allocates temporaries.
+Called without a live set (below), every stepper writes its delta into a
+dense buffer the state owns and returns that array, valid until the state's
+next step; a caller that needs it longer copies it. Off the periodic flush,
+a sparse step without weight decay thus allocates no dense array; a dense
+step allocates temporaries.
+
+A stepper may also be given a live set, ``live``: unique ints that hold the
+step's coordinates. The moments still decay over every coordinate, but the
+square root, the divisions and the lr scale run over the live set alone,
+and the returned buffer is valid there only. Without one (index ``...``,
+the dense case of the same lines) a stepper writes the whole delta. Beside
+each rule, a settling test (``adam_settled``, ``rmsprop_settled``,
+``sgd_settled``) names the coordinates whose every update until their next
+gradient provably rounds away against theta: fl(theta + delta) == theta.
+A caller that adds every coordinate a gradient touches to its live set
+before the step, and drops only settled ones, moves theta bit for bit as
+the dense delta would. The settling tests assume no weight decay, whose
+gradient touches every coordinate on every step. A coordinate no gradient
+has touched updates by -0.0, which moves no theta, only while epsilon > 0
+(Adam and RMSProp); at epsilon = 0 its update is 0/0, so such a caller
+starts its live set full.
+
+Why the settling tests hold. fl(theta + delta) == theta when
+|delta| < |theta|*2^-54, since the gaps either side of a nonzero theta are
+at least |theta|*2^-53. Between gradients a moment only decays:
+m <- fl(beta1*m), v <- fl(beta2*v), and the flush only zeroes, so |m| never
+grows, and it shrinks by beta1 per step up to a rounding of 1 + 2^-53 in
+the normal range; a moment under MOMENT_FLOOR may round rather than decay
+until its flush zeroes it, which the bounds absorb as an added MOMENT_FLOOR.
+The bias correction c1 only grows with t, and c2 <= 1 only enlarges v. So,
+with t the state's step count and k >= 1 steps without a gradient:
+
+    Adam     |delta(t+k)| <= lr/c1(t+1) * min((beta1*|m| + MOMENT_FLOOR)/eps,
+                                              beta1*|m|/sqrt(beta2*v) + MOMENT_FLOOR/eps)
+    SGD      |delta(t+k)| <= lr * (beta1*|m| + MOMENT_FLOOR)
+
+Adam's eps branch holds because the denominator never falls below eps. The
+sqrt(v) branch needs the ratio m/sqrt(v) to shrink, by beta1/sqrt(beta2)
+per step, so it is used only when beta1 < sqrt(beta2) with room for the
+roundings (beta2 = 0.7 leaves the eps branch alone); and it needs the
+denominator to stay above sqrt(v) decayed, which a flush that zeroes v (at
+v < MOMENT_FLOOR) breaks unless eps is at least sqrt(MOMENT_FLOOR), about
+1e-145. RMSProp's update off its batch is exactly fl(0/denominator * -lr) =
+-0.0 wherever the denominator is positive, and -0.0 + theta == theta for
+every theta, so its coordinates settle right after their step. A factor 2
+on every bound covers the few roundings of each update and of the bound
+itself. theta = +-0, a subnormal theta and a NaN or inf bound never settle.
 
 Adam divides the moments by the bias corrections c1 = 1 - beta1^t and
 c2 = 1 - beta2^t only while they differ from 1.0. In float64 each rounds to
@@ -52,9 +95,12 @@ import numpy as np
 __all__ = [
     "AdamConfig",
     "OptimizerState",
+    "adam_settled",
     "adam_step",
+    "rmsprop_settled",
     "rmsprop_step",
     "sgd_momentum_step",
+    "sgd_settled",
 ]
 
 
@@ -93,7 +139,11 @@ class OptimizerState:
     """First moment, second moment, and a monotone step counter.
 
     ``delta`` receives each step's update and ``temp`` its intermediates; a
-    dense gradient may live in ``delta`` but not in ``temp``.
+    dense gradient may live in ``delta`` but not in ``temp``. A step called
+    without a live set leaves ``delta`` a dense buffer valid until the next
+    step; a step over a live set computes in the first slots of both buffers
+    and leaves ``delta`` valid on the live set only, while off it the true
+    update provably leaves theta unchanged (module docstring).
     """
 
     m: np.ndarray
@@ -158,21 +208,43 @@ def _ema(arr: np.ndarray, beta: float, idx, x, t: int, square: bool = False) -> 
             arr[mask] = 0.0
 
 
+def _rounds_away(bound: np.ndarray, theta: np.ndarray) -> np.ndarray:
+    """Where fl(theta + delta) == theta for every |delta| <= 2*bound.
+
+    The gaps either side of a float64 theta != 0 are at least |theta|*2^-53,
+    so an add smaller than |theta|*2^-54 rounds back to theta; the factor 2
+    covers the roundings a bound leaves out. The test fails for theta = +-0,
+    for a subnormal theta (whose |theta|*2^-54 rounds to 0), and for a NaN
+    theta or bound.
+    """
+    return 2.0 * bound < np.absolute(theta) * 2.0**-54
+
+
+def _bias_corrections(config: AdamConfig, t: int) -> tuple[float, float]:
+    """Adam's (c1, c2) at step t; both 1.0 without bias correction."""
+    if not config.bias_correction:
+        return 1.0, 1.0
+    b1, b2 = config.beta1, config.beta2
+    return 1.0 - b1**t, 1.0 - b2**t if b2 < 1.0 else 1.0
+
+
 def adam_step(
     state: OptimizerState,
     config: AdamConfig,
     grad,
     theta: np.ndarray | None = None,
     coords=None,
+    live=...,
 ) -> np.ndarray:
     """Advance Adam by one step, mutating ``state`` and returning the update.
 
-    The update is ``state.delta``, valid until the state's next step.
+    The update is ``state.delta``, valid until the state's next step, and
+    only on ``live`` when a live set is given (see the module docstring).
 
     ``theta`` is only consulted when ``config.weight_decay > 0``, in which
     case the raw gradient is augmented with ``weight_decay * theta`` before
     the moment updates (coupled L2); that gradient is dense whatever form
-    ``grad`` came in.
+    ``grad`` came in, so ``live`` must then be every coordinate.
 
     A bias correction that equals 1.0 (from t = 356 for c1 at beta1 = 0.9,
     from t = 37,412 for c2 at beta2 = 0.999, and from t = 1 without bias
@@ -187,24 +259,46 @@ def adam_step(
         full[idx] += grad
         grad, idx = full, ...
 
-    b1, b2 = config.beta1, config.beta2
     state.t += 1
-    _ema(state.m, b1, idx, grad, state.t)
-    _ema(state.v, b2, idx, grad, state.t, square=True)
+    _ema(state.m, config.beta1, idx, grad, state.t)
+    _ema(state.v, config.beta2, idx, grad, state.t, square=True)
 
-    c1 = c2 = 1.0  # raw moments
-    if config.bias_correction:
-        c1 = 1.0 - b1 ** state.t
-        if b2 < 1.0:
-            c2 = 1.0 - b2 ** state.t
+    c1, c2 = _bias_corrections(config, state.t)
+    # views of the moments over every coordinate, copies over a live set;
+    # either way the arithmetic lands in the first n slots of temp and delta
+    m, v = state.m[live], state.v[live]
+    n = m.size
     # x / 1.0 is x bit for bit, so a correction that has rounded to 1.0 is skipped
-    m_hat = state.m if c1 == 1.0 else np.divide(state.m, c1, out=state.temp)
-    v_hat = state.v if c2 == 1.0 else np.divide(state.v, c2, out=state.delta)
-    denom = np.sqrt(v_hat, out=state.delta)
+    m_hat = m if c1 == 1.0 else np.divide(m, c1, out=state.temp[:n])
+    v_hat = v if c2 == 1.0 else np.divide(v, c2, out=state.delta[:n])
+    denom = np.sqrt(v_hat, out=state.delta[:n])
     denom += config.epsilon
-    delta = np.divide(m_hat, denom, out=denom)
-    delta *= -config.lr
-    return delta
+    step = np.divide(m_hat, denom, out=denom)
+    step *= -config.lr
+    # to the live coordinates; numpy copies the overlapping right-hand side
+    # first, and over every coordinate the assignment is a no-op
+    state.delta[live] = step
+    return state.delta
+
+
+def adam_settled(
+    state: OptimizerState, config: AdamConfig, theta: np.ndarray, idx: np.ndarray
+) -> np.ndarray:
+    """Which coordinates ``idx`` no Adam update moves until their next gradient.
+
+    The bound is the module docstring's, taken after the state's last step
+    and for steps without weight decay.
+    """
+    b1, eps = config.beta1, config.epsilon
+    c1, _ = _bias_corrections(config, state.t + 1)
+    m = np.absolute(state.m[idx])
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        bound = (b1 * m + MOMENT_FLOOR) / eps
+        # m/sqrt(v) shrinks, roundings included, and a zeroed v leaves eps >= sqrt(v)
+        if b1 * b1 * (1 + 2**-48) < config.beta2 and eps * eps >= MOMENT_FLOOR:
+            ratio = b1 * m / np.sqrt(config.beta2 * state.v[idx]) + MOMENT_FLOOR / eps
+            bound = np.fmin(bound, ratio)  # fmin: a 0/0 ratio leaves the eps branch
+        return _rounds_away(config.lr / c1 * bound, theta[idx])
 
 
 def rmsprop_step(
@@ -212,26 +306,41 @@ def rmsprop_step(
     config: AdamConfig,
     grad,
     coords=None,
+    live=...,
 ) -> np.ndarray:
     """Advance RMSProp by one step.
 
     Adam with beta1 = 0 and no bias correction, bit for bit when the gradient
     spans every coordinate (a sparse zero update can differ in sign): the raw
-    gradient steers it. The update is ``state.delta``, valid until the next step.
+    gradient steers it. The update is ``state.delta``, valid until the next
+    step, and only on ``live`` when a live set is given.
     """
     grad, idx = _check_grad(state, grad, coords)
     state.t += 1
     _ema(state.v, config.beta2, idx, grad, state.t, square=True)
 
-    denom = np.sqrt(state.v, out=state.temp)
+    v = state.v[live]
+    denom = np.sqrt(v, out=state.temp[: v.size])
     denom += config.epsilon
+    state.temp[live] = denom  # each denominator at its coordinate; a no-op over all
     # off the index the scattered gradient is a zero, divided like the rest;
     # the gradient is read before state.delta, where it may live, is written
-    touched = grad / denom[idx]
-    delta = np.divide(0.0, denom, out=state.delta)
-    delta[idx] = touched
-    delta *= -config.lr
-    return delta
+    touched = grad / state.temp[idx]
+    state.delta[live] = np.divide(0.0, state.temp[live], out=state.delta[: v.size])
+    state.delta[idx] = touched
+    state.delta[live] *= -config.lr
+    return state.delta
+
+
+def rmsprop_settled(state: OptimizerState, config: AdamConfig, idx: np.ndarray) -> np.ndarray:
+    """Which coordinates ``idx`` no RMSProp update moves until their next gradient.
+
+    Off its batch the update is 0/denominator * -lr, exactly -0.0 wherever
+    the denominator is positive, and -0.0 + theta == theta for every theta.
+    The denominator stays positive only with epsilon > 0: without it a v
+    the flush zeroes leaves 0/0.
+    """
+    return (np.sqrt(state.v[idx]) + config.epsilon > 0) & (config.epsilon > 0)
 
 
 def sgd_momentum_step(
@@ -240,10 +349,12 @@ def sgd_momentum_step(
     beta1: float,
     grad,
     coords=None,
+    live=...,
 ) -> np.ndarray:
     """Advance damped-momentum SGD by one step; beta1 = 0 is plain descent.
 
-    The update is ``state.delta``, valid until the state's next step.
+    The update is ``state.delta``, valid until the state's next step, and
+    only on ``live`` when a live set is given.
     """
     if not 0 < lr < math.inf:
         raise ValueError(f"lr must be positive and finite, got {lr}")
@@ -252,4 +363,14 @@ def sgd_momentum_step(
     grad, idx = _check_grad(state, grad, coords)
     state.t += 1
     _ema(state.m, beta1, idx, grad, state.t)
-    return np.multiply(state.m, -lr, out=state.delta)
+    m = state.m[live]
+    state.delta[live] = np.multiply(m, -lr, out=state.delta[: m.size])
+    return state.delta
+
+
+def sgd_settled(
+    state: OptimizerState, lr: float, beta1: float, theta: np.ndarray, idx: np.ndarray
+) -> np.ndarray:
+    """Which coordinates ``idx`` no SGD update moves until their next gradient."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        return _rounds_away(lr * (beta1 * np.absolute(state.m[idx]) + MOMENT_FLOOR), theta[idx])

@@ -9,6 +9,11 @@ gradient, the momentum, and the applied update. All probe quantities that
 involve the tracked batch's gradient evaluate it at the pre-update
 parameters of the step, matching the step's own gradient; momentum and the
 update delta are the post-update values of the same step.
+
+The update is computed and applied on a live set of coordinates only, those
+whose pending update can still move the parameters; off it the optimizer's
+settling test proves the update rounds away, so the trace bits are those of
+updating every coordinate (``_LiveSet``).
 """
 
 from __future__ import annotations
@@ -19,11 +24,15 @@ from dataclasses import dataclass
 import numpy as np
 
 from .optim import (
+    FLUSH_EVERY,
     AdamConfig,
     OptimizerState,
+    adam_settled,
     adam_step,
+    rmsprop_settled,
     rmsprop_step,
     sgd_momentum_step,
+    sgd_settled,
 )
 from .problem import EpochGather, generate_quadratic
 from .schedule import EpochSchedule, batches_per_epoch
@@ -257,13 +266,89 @@ def _norm(dense: np.ndarray, coords, vals) -> float:
 
 
 def _stepper(config: RunConfig, state: OptimizerState, theta: np.ndarray):
-    """config.optimizer's step, (coords, vals) -> delta, on state and theta."""
-    opt_config = config.adam_config()
+    """config.optimizer's step, (coords, vals, live) -> delta, and its settling test.
+
+    The test, idx -> mask, is None under weight decay, whose gradient touches
+    every coordinate on every step.
+    """
+    opt = config.adam_config()
     if config.optimizer == "adam":
-        return lambda coords, vals: adam_step(state, opt_config, vals, theta, coords)
+        return (
+            lambda coords, vals, live: adam_step(state, opt, vals, theta, coords, live),
+            None if opt.weight_decay > 0 else lambda idx: adam_settled(state, opt, theta, idx),
+        )
     if config.optimizer == "rmsprop":
-        return lambda coords, vals: rmsprop_step(state, opt_config, vals, coords)
-    return lambda coords, vals: sgd_momentum_step(state, config.lr, config.beta1, vals, coords)
+        return (
+            lambda coords, vals, live: rmsprop_step(state, opt, vals, coords, live),
+            lambda idx: rmsprop_settled(state, opt, idx),
+        )
+    return (
+        lambda coords, vals, live: sgd_momentum_step(
+            state, config.lr, config.beta1, vals, coords, live
+        ),
+        lambda idx: sgd_settled(state, config.lr, config.beta1, theta, idx),
+    )
+
+
+# Above this share of dim the live set's gathers and scatters cost more than
+# the dense passes they save, so every coordinate is live. Measured in
+# process at dim 10,000 for Adam at B = 1, 4 and 16 (2 vCPUs, numpy 2.4.6):
+# an adam_step and theta add over a live set of n coordinates matched a
+# dense one between n = 2,000 and 3,500 across three runs. The share sits at
+# the low end, since the live set's joins and prunes cost too.
+DENSE_SHARE = 0.2
+
+
+class _LiveSet:
+    """The coordinates whose pending update may still move theta.
+
+    They are the first n entries of idx, and mask marks them. A coordinate
+    joins when a gradient touches it and leaves when the settling test
+    proves that every update until its next gradient rounds away (module
+    optim). A coordinate no gradient has touched has m = v = 0 and an
+    update of -0.0, which leaves theta as it is, so it never joins. Past
+    DENSE_SHARE of dim every coordinate is live, and joins stop until a
+    prune over every coordinate shrinks the set again.
+    """
+
+    def __init__(self, dim: int, settled) -> None:
+        self.mask = np.zeros(dim, dtype=bool)
+        self.idx = np.empty(dim, dtype=np.intp)
+        self.n = 0
+        self.settled = settled
+        # without a settling test every coordinate stays live
+        self.dense_from = DENSE_SHARE * dim if settled is not None else -1
+
+    def join(self, coords) -> None:
+        """Add coords, an int or an array of unique ints."""
+        if self.n > self.dense_from:
+            return
+        if isinstance(coords, np.ndarray):
+            fresh = coords[~self.mask[coords]]
+            self.mask[fresh] = True
+            self.idx[self.n : self.n + fresh.size] = fresh
+            self.n += fresh.size
+        elif not self.mask[coords]:
+            self.mask[coords] = True
+            self.idx[self.n] = coords
+            self.n += 1
+
+    def index(self):
+        """The live set as a step's index, ``...`` when every coordinate is live."""
+        return ... if self.n > self.dense_from else self.idx[: self.n]
+
+    def prune(self) -> None:
+        """Drop the settled coordinates."""
+        live = self.index()
+        keep = ~self.settled(live)
+        if live is ...:
+            self.mask[:] = keep
+            kept = np.flatnonzero(keep)
+        else:
+            self.mask[live[~keep]] = False
+            kept = live[keep]
+        self.n = kept.size
+        self.idx[: self.n] = kept
 
 
 def run(config: RunConfig) -> RunResult:
@@ -280,7 +365,8 @@ def _train(config: RunConfig, epoch_loss_grad) -> RunResult:
     """
     theta = np.full(config.dim, config.x_init, dtype=float)
     state = OptimizerState.fresh(config.dim)
-    step_fn = _stepper(config, state, theta)
+    step_fn, settled = _stepper(config, state, theta)
+    live = _LiveSet(config.dim, settled)
     schedule = config.schedule()
     bpe = batches_per_epoch(config.num_functions, config.batch_size)
 
@@ -315,8 +401,17 @@ def _train(config: RunConfig, epoch_loss_grad) -> RunResult:
             tracked_loss, t_coords, t_vals = loss_grad(config.tracked_batch, theta)
             dot_g = _dot(gbuf, t_coords, t_vals)
         if not diverged:
-            delta = step_fn(coords, vals)  # state.delta, rewritten next step
-            theta += delta
+            live.join(coords)
+            if probed and step == 0:
+                # dot_dtheta reads the update on the tracked batch all epoch
+                live.join(t_coords)
+            idx = live.index()
+            delta = step_fn(coords, vals, idx)  # state.delta, valid on idx until the next step
+            theta[idx] += delta[idx]
+            if state.t % FLUSH_EVERY == 0 and settled is not None:
+                live.prune()
+                if config.probe:
+                    live.join(t_coords)
 
         trace.batch_loss[row] = loss
         trace.g_norm[row] = g_norm

@@ -13,6 +13,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from sawtoothlab import trainer
 from sawtoothlab.optim import (
     AdamConfig,
     OptimizerState,
@@ -34,6 +35,8 @@ from sawtoothlab.trainer import (
 )
 
 SMALL = dict(num_functions=60, dim=30, problem_seed=3, seed=4, num_epochs=3, tracked_batch=5)
+# SMALL's overrides for runs whose coordinates go long enough between visits to settle
+SETTLING = dict(num_functions=3000, dim=3000, num_epochs=2)
 
 
 def _mirror_columns(config):
@@ -217,6 +220,37 @@ TRACE_DIGESTS = {
         {"batch_size": 16, "tracked_batch": 3},
         "e77a048f16c04e9bbca8e98b870966b5945c25c714870287ea617a4cda3cd2f5",
     ),
+    # recorded while every step still updated every coordinate: a coordinate
+    # waits thousands of steps between visits here, long enough for its
+    # update to round away against theta, so these runs step a live set
+    "adam_settling": (
+        SETTLING,
+        "0724c5abdddb243a531ae92d2d93b6709486c7a48770e59f7d650c92462844b0",
+    ),
+    # four coordinates a step need a larger dim to leave most of them settled
+    "adam_settling_b4": (
+        {**SETTLING, "num_functions": 8000, "dim": 8000, "batch_size": 4},
+        "7362b212d1a1856bedccae985285da420cc64e24eb98c44dcf9ae1af250dbb92",
+    ),
+    # beta1 > sqrt(beta2): only the epsilon branch of Adam's bound holds; the
+    # loss grows past the default ceiling, so the run goes on to the end
+    "adam_settling_beta2_0.7": (
+        {**SETTLING, "beta2": 0.7, "divergence_ceiling": np.inf},
+        "77340a4ddc36aff6f7d9a7fd0c051acee08d1d90e563be2dd9d2a1d2dc2e03b0",
+    ),
+    # theta starts at +0.0, which never settles, and m, v are used raw
+    "adam_settling_x0_raw": (
+        {**SETTLING, "x_init": 0.0, "bias_correction": False},
+        "22c32adcff0babcb134839164ffe00f7c08e825b8d2d91f6a3897a32f5abf903",
+    ),
+    "rmsprop_settling": (
+        {**SETTLING, "optimizer": "rmsprop"},
+        "5d9f7d0651731fcf5e40efc6c851979027c6fa77b5fff4be5400e36b9a175a6b",
+    ),
+    "sgd_settling": (
+        {**SETTLING, "optimizer": "sgd"},
+        "26278dbe305df97726efb31c5ca7bcd4201bc42ad6d89dd9e95e0f9d232f9232",
+    ),
 }
 # The weight-decay run at B = 1 was recorded on the generic path, whose
 # one-element matmul probes gave +0.0 where a single member's product is
@@ -235,6 +269,32 @@ def test_trace_bytes_match_recorded_digests(case, tmp_path):
         assert hashlib.sha256(data).hexdigest() == WEIGHT_DECAY_DIGEST
         data = re.sub(rb",-0\.0(?=,|\r\n)", b",0.0", data)
     assert hashlib.sha256(data).hexdigest() == digest
+
+
+def test_settling_run_matches_building_blocks():
+    # the mirror steps every coordinate densely; run() steps its live set
+    _assert_matches_mirror(RunConfig(**{**SMALL, **SETTLING}))
+
+
+@pytest.mark.parametrize("share", [0.0, 1.0], ids=["all_dense", "all_live_set"])
+@pytest.mark.parametrize(
+    "overrides",
+    [{}, {"probe_stride": 7}, {"optimizer": "rmsprop"}, {"optimizer": "sgd"},
+     {"x_init": 0.0, "bias_correction": False}, {"batch_size": 4, "tracked_batch": 3}],
+    ids=["adam", "probe_stride", "rmsprop", "sgd", "x0_raw", "adam_b4"],
+)
+def test_trace_bits_do_not_depend_on_the_dense_share(share, overrides, monkeypatch):
+    # share 0 steps every coordinate from the first step on, share 1 never
+    # does; the default switches between the two as the live set grows and shrinks
+    config = RunConfig(**{**SMALL, **SETTLING, **overrides})
+    expected = run(config).trace
+    monkeypatch.setattr(trainer, "DENSE_SHARE", share)
+    trace = run(config).trace
+    for name in TRACE_COLUMNS:
+        np.testing.assert_array_equal(
+            getattr(trace, name).view(np.int64), getattr(expected, name).view(np.int64),
+            err_msg=name,
+        )
 
 
 def test_weight_decay_run_matches_building_blocks():
