@@ -40,8 +40,9 @@ square root, the divisions and the lr scale run over the live set alone,
 and the returned buffer is valid there only. Without one (index ``...``,
 the dense case of the same lines) a stepper writes the whole delta. Beside
 each rule, a settling test (``adam_settled``, ``rmsprop_settled``,
-``sgd_settled``) names the coordinates whose every update until their next
-gradient provably rounds away against theta: fl(theta + delta) == theta.
+``sgd_settled``, each called as (state, config, theta, idx)) names the
+coordinates ``idx`` whose every update until their next gradient provably
+rounds away against theta: fl(theta + delta) == theta.
 A caller that adds every coordinate a gradient touches to its live set
 before the step, and drops only settled ones, moves theta bit for bit as
 the dense delta would. The settling tests assume no weight decay, whose
@@ -332,13 +333,15 @@ def rmsprop_step(
     return state.delta
 
 
-def rmsprop_settled(state: OptimizerState, config: AdamConfig, idx: np.ndarray) -> np.ndarray:
+def rmsprop_settled(
+    state: OptimizerState, config: AdamConfig, theta: np.ndarray, idx: np.ndarray
+) -> np.ndarray:
     """Which coordinates ``idx`` no RMSProp update moves until their next gradient.
 
     Off its batch the update is 0/denominator * -lr, exactly -0.0 wherever
-    the denominator is positive, and -0.0 + theta == theta for every theta.
-    The denominator stays positive only with epsilon > 0: without it a v
-    the flush zeroes leaves 0/0.
+    the denominator is positive, and -0.0 + theta == theta for every theta,
+    so ``theta`` is not read. The denominator stays positive only with
+    epsilon > 0: without it a v the flush zeroes leaves 0/0.
     """
     return (np.sqrt(state.v[idx]) + config.epsilon > 0) & (config.epsilon > 0)
 
@@ -369,8 +372,9 @@ def sgd_momentum_step(
 
 
 def sgd_settled(
-    state: OptimizerState, lr: float, beta1: float, theta: np.ndarray, idx: np.ndarray
+    state: OptimizerState, config: AdamConfig, theta: np.ndarray, idx: np.ndarray
 ) -> np.ndarray:
     """Which coordinates ``idx`` no SGD update moves until their next gradient."""
     with np.errstate(over="ignore", invalid="ignore"):
-        return _rounds_away(lr * (beta1 * np.absolute(state.m[idx]) + MOMENT_FLOOR), theta[idx])
+        bound = config.lr * (config.beta1 * np.absolute(state.m[idx]) + MOMENT_FLOOR)
+        return _rounds_away(bound, theta[idx])

@@ -1,8 +1,12 @@
 """Shared fixtures. The two documented runs execute once per session."""
 
+import ctypes
+import functools
 import time
 from dataclasses import dataclass
+from pathlib import Path
 
+import numpy as np
 import pytest
 
 from sawtoothlab.trainer import RunConfig, RunResult, run
@@ -32,3 +36,28 @@ def reference_run() -> TimedRun:
 @pytest.fixture(scope="session")
 def reduced_run() -> TimedRun:
     return _timed(**REDUCED)
+
+
+# The OpenBLAS core whose kernels computed the recorded digests. A BLAS
+# reduction may round differently on another core (README).
+RECORDED_CORE = "SkylakeX"
+
+
+@functools.cache
+def openblas_core() -> str:
+    """The core OpenBLAS runs numpy's BLAS on, as OpenBLAS names it.
+
+    OPENBLAS_CORETYPE overrides the one it detects.
+    """
+    libdir = Path(np.__file__).parent.parent / "numpy.libs"
+    libs = sorted(libdir.glob("libscipy_openblas64_*.so"))
+    if not libs:
+        return "unknown (no libscipy_openblas64_*.so beside numpy)"
+    corename = ctypes.CDLL(str(libs[0])).scipy_openblas_get_corename64_
+    corename.argtypes, corename.restype = [], ctypes.c_char_p
+    return corename().decode()
+
+
+def digest_note() -> str:
+    """What a digest assertion says when it fails: where it was recorded, where it runs."""
+    return f"digest recorded on OpenBLAS core {RECORDED_CORE}, running on {openblas_core()}"

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 import reference_impl
+from conftest import digest_note
 from sawtoothlab.analysis import (
     DEMO_GRAD_SQUARED,
     DEMO_MOMENTUM,
@@ -329,13 +330,13 @@ BETA1_ZERO_DIGESTS = {
 @pytest.mark.parametrize("model, window", list(FIT_DIGESTS))
 def test_fit_results_match_recorded_digests(model, window):
     betas = ((0.9, 0.999), (0.9, 1.0))
-    assert _fit_digest(model, window, betas) == FIT_DIGESTS[model, window]
+    assert _fit_digest(model, window, betas) == FIT_DIGESTS[model, window], digest_note()
 
 
 @pytest.mark.parametrize("model, window", list(BETA1_ZERO_DIGESTS))
 def test_beta1_zero_fit_results_match_recorded_digests(model, window):
     betas = ((0.0, 0.999),)
-    assert _fit_digest(model, window, betas) == BETA1_ZERO_DIGESTS[model, window]
+    assert _fit_digest(model, window, betas) == BETA1_ZERO_DIGESTS[model, window], digest_note()
 
 
 @pytest.mark.parametrize("window", [None, 25])

@@ -9,6 +9,7 @@ ones, so the cold coordinates go hundreds of steps without a gradient.
 """
 
 import dataclasses
+import inspect
 
 import numpy as np
 import pytest
@@ -37,12 +38,14 @@ def _step(optimizer, state, cfg, vals, theta, coords, live):
     return sgd_momentum_step(state, cfg.lr, cfg.beta1, vals, coords, live)
 
 
-def _settled(optimizer, state, cfg, theta, idx):
-    if optimizer == "adam":
-        return adam_settled(state, cfg, theta, idx)
-    if optimizer == "rmsprop":
-        return rmsprop_settled(state, cfg, idx)
-    return sgd_settled(state, cfg.lr, cfg.beta1, theta, idx)
+# every settling test takes the stepper's (state, config, theta, idx)
+SETTLED = {"adam": adam_settled, "rmsprop": rmsprop_settled, "sgd": sgd_settled}
+
+
+def test_every_settling_test_takes_the_stepper_arguments():
+    for settled in SETTLED.values():
+        params = list(inspect.signature(settled).parameters)
+        assert params == ["state", "config", "theta", "idx"], settled.__name__
 
 
 def _visits(rng, dim, spread_steps, hot_steps):
@@ -90,7 +93,7 @@ def _step_both(optimizer, cfg, theta0, visits, prune_every, decay_steps=(), star
             _bits(sparse.delta[idx]), _bits(dense.delta[idx]), err_msg=where
         )
         if (k + 1) % prune_every == 0:
-            live[idx[_settled(optimizer, sparse, cfg, theta_s, idx)]] = False
+            live[idx[SETTLED[optimizer](sparse, cfg, theta_s, idx)]] = False
             sizes.append((idx.size, int(live.sum())))
     return sizes
 

@@ -13,10 +13,12 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from conftest import RECORDED_CORE, digest_note
 from sawtoothlab import trainer
 from sawtoothlab.optim import (
     AdamConfig,
     OptimizerState,
+    adam_settled,
     adam_step,
     rmsprop_step,
     sgd_momentum_step,
@@ -266,9 +268,24 @@ def test_trace_bytes_match_recorded_digests(case, tmp_path):
     write_trace_csv(run(RunConfig(**{**SMALL, **overrides})).trace, path)
     data = path.read_bytes()
     if case == "adam_weight_decay":
-        assert hashlib.sha256(data).hexdigest() == WEIGHT_DECAY_DIGEST
+        assert hashlib.sha256(data).hexdigest() == WEIGHT_DECAY_DIGEST, digest_note()
         data = re.sub(rb",-0\.0(?=,|\r\n)", b",0.0", data)
-    assert hashlib.sha256(data).hexdigest() == digest
+    assert hashlib.sha256(data).hexdigest() == digest, digest_note()
+
+
+def test_a_digest_failure_names_the_recorded_and_the_running_core():
+    # the Haswell kernels round the trace's BLAS dots differently, so the
+    # digest fails, and its message must say which two cores disagree
+    pythonpath = os.pathsep.join(filter(None, ["src", os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider",
+         "tests/test_trainer.py::test_trace_bytes_match_recorded_digests[adam]"],
+        cwd=Path(__file__).resolve().parents[1],
+        env={**os.environ, "PYTHONPATH": pythonpath, "OPENBLAS_CORETYPE": "Haswell"},
+        capture_output=True, text=True, timeout=300,
+    )
+    assert proc.returncode == 1, proc.stdout + proc.stderr
+    assert f"recorded on OpenBLAS core {RECORDED_CORE}, running on Haswell" in proc.stdout
 
 
 def test_settling_run_matches_building_blocks():
@@ -295,6 +312,29 @@ def test_trace_bits_do_not_depend_on_the_dense_share(share, overrides, monkeypat
             getattr(trace, name).view(np.int64), getattr(expected, name).view(np.int64),
             err_msg=name,
         )
+
+
+def test_live_set_holds_only_joined_coordinates_past_the_dense_share():
+    # theta = 0 never settles, theta = 1 settles at once under a fresh state;
+    # a coordinate no gradient touched must stay out of the set at every size
+    dim = 100
+    theta = np.zeros(dim)
+    theta[::4] = 1.0
+    state, cfg = OptimizerState.fresh(dim), AdamConfig()
+    live = trainer._LiveSet(dim, lambda idx: adam_settled(state, cfg, theta, idx))
+    joined = np.arange(0, 60, 2)
+    live.join(joined[:10])
+    live.join(joined[10:])
+    live.join(61)
+    joined = np.append(joined, 61)
+    assert joined.size > trainer.DENSE_SHARE * dim
+    assert live.index() is ...
+    np.testing.assert_array_equal(np.sort(live.idx[: live.n]), joined)
+    live.prune()
+    kept = joined[theta[joined] == 0]
+    assert kept.size <= trainer.DENSE_SHARE * dim
+    np.testing.assert_array_equal(np.sort(live.index()), kept)
+    np.testing.assert_array_equal(np.flatnonzero(live.mask), kept)
 
 
 def test_weight_decay_run_matches_building_blocks():
@@ -649,7 +689,7 @@ TOY_DIGESTS = {
 def test_toy_trace_bytes_match_recorded_digests(case, tmp_path):
     path = tmp_path / "toy.csv"
     write_trace_csv(run_toy(*case).trace, path)
-    assert hashlib.sha256(path.read_bytes()).hexdigest() == TOY_DIGESTS[case]
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == TOY_DIGESTS[case], digest_note()
 
 
 def test_toy_validation():
