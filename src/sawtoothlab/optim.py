@@ -37,19 +37,17 @@ step allocates temporaries.
 A stepper may also be given a live set, ``live``: unique ints that hold the
 step's coordinates. The moments still decay over every coordinate, but the
 square root, the divisions and the lr scale run over the live set alone,
-and the returned buffer is valid there only. Without one (index ``...``,
-the dense case of the same lines) a stepper writes the whole delta. Beside
-each rule, a settling test (``adam_settled``, ``rmsprop_settled``,
-``sgd_settled``, each called as (state, config, theta, idx)) names the
-coordinates ``idx`` whose every update until their next gradient provably
-rounds away against theta: fl(theta + delta) == theta.
-A caller that adds every coordinate a gradient touches to its live set
-before the step, and drops only settled ones, moves theta bit for bit as
-the dense delta would. The settling tests assume no weight decay, whose
-gradient touches every coordinate on every step. A coordinate no gradient
-has touched updates by -0.0, which moves no theta, only while epsilon > 0
-(Adam and RMSProp); at epsilon = 0 its update is 0/0, so such a caller
-starts its live set full.
+and the returned buffer is valid there only. Beside each rule, a settling
+test (``adam_settled``, ``rmsprop_settled``, ``sgd_settled``, each called
+as (state, config, theta, idx)) names the coordinates ``idx`` whose every
+update until their next gradient provably rounds away against theta:
+fl(theta + delta) == theta. A caller that adds every coordinate a gradient
+touches to its live set before the step, and drops only settled ones,
+moves theta bit for bit as the dense delta would. The settling tests
+assume no weight decay, whose gradient touches every coordinate on every
+step. A coordinate no gradient has touched updates by -0.0, which moves no
+theta, only while epsilon > 0 (Adam and RMSProp); at epsilon = 0 its
+update is 0/0, so such a caller starts its live set full.
 
 Why the settling tests hold. fl(theta + delta) == theta when
 |delta| < |theta|*2^-54, since the gaps either side of a nonzero theta are
@@ -71,14 +69,17 @@ per step, so it is used only when beta1 < sqrt(beta2) with room for the
 roundings (beta2 = 0.7 leaves the eps branch alone); and it needs the
 denominator to stay above sqrt(v) decayed, which a flush that zeroes v (at
 v < MOMENT_FLOOR) breaks unless eps is at least sqrt(MOMENT_FLOOR), about
-1e-145. RMSProp's update off its batch is exactly fl(0/denominator * -lr) =
--0.0 wherever the denominator is positive, and -0.0 + theta == theta for
-every theta, so its coordinates settle right after their step. A factor 2
-on every bound covers the few roundings of each update and of the bound
-itself. theta = +-0, a subnormal theta and a NaN or inf bound never settle.
+1e-145. RMSProp's numerator off its batch is +0.0, so its update there is
+exactly fl(0/denominator * -lr) = -0.0 wherever the denominator is positive,
+and -0.0 + theta == theta for every theta, so its coordinates settle right
+after their step. A factor 2 on every bound covers the few roundings of each
+update and of the bound itself. theta = +-0, a subnormal theta and a NaN or
+inf bound never settle.
 
-Adam divides the moments by the bias corrections c1 = 1 - beta1^t and
-c2 = 1 - beta2^t only while they differ from 1.0. In float64 each rounds to
+Adam and RMSProp end in one adaptive update, -lr * (n/c1) / (sqrt(v/c2) + eps),
+with n = m for Adam, and for RMSProp n = g, zero off its batch, and
+c1 = c2 = 1. Adam's bias corrections c1 = 1 - beta1^t and c2 = 1 - beta2^t
+are divided by only while they differ from 1.0. In float64 each rounds to
 exactly 1.0 once beta^t falls below 2^-54 (t = 356 for beta1 = 0.9,
 t = 37,412 for beta2 = 0.999), and without bias correction both are 1.0
 from the first step. Dividing by 1.0 returns its operand bit for bit
@@ -105,6 +106,14 @@ __all__ = [
 ]
 
 
+def _check_lr_beta1(lr: float, beta1: float) -> None:
+    """Reject a step size or first-moment decay that no stepper accepts."""
+    if not 0 < lr < math.inf:
+        raise ValueError(f"lr must be positive and finite, got {lr}")
+    if not 0.0 <= beta1 < 1.0:
+        raise ValueError(f"beta1 must lie in [0, 1), got {beta1}")
+
+
 @dataclass
 class AdamConfig:
     """Hyperparameters shared by the Adam and RMSProp steppers.
@@ -121,10 +130,7 @@ class AdamConfig:
     bias_correction: bool = True
 
     def __post_init__(self) -> None:
-        if not 0 < self.lr < math.inf:
-            raise ValueError(f"lr must be positive and finite, got {self.lr}")
-        if not 0.0 <= self.beta1 < 1.0:
-            raise ValueError(f"beta1 must lie in [0, 1), got {self.beta1}")
+        _check_lr_beta1(self.lr, self.beta1)
         if not 0.0 <= self.beta2 <= 1.0:
             raise ValueError(f"beta2 must lie in [0, 1], got {self.beta2}")
         if not 0 <= self.epsilon < math.inf:
@@ -140,11 +146,9 @@ class OptimizerState:
     """First moment, second moment, and a monotone step counter.
 
     ``delta`` receives each step's update and ``temp`` its intermediates; a
-    dense gradient may live in ``delta`` but not in ``temp``. A step called
-    without a live set leaves ``delta`` a dense buffer valid until the next
-    step; a step over a live set computes in the first slots of both buffers
-    and leaves ``delta`` valid on the live set only, while off it the true
-    update provably leaves theta unchanged (module docstring).
+    dense gradient may live in ``delta`` but not in ``temp``. A step over a
+    live set computes in the first slots of both buffers and leaves ``delta``
+    valid on the live set only (module docstring).
     """
 
     m: np.ndarray
@@ -229,6 +233,28 @@ def _bias_corrections(config: AdamConfig, t: int) -> tuple[float, float]:
     return 1.0 - b1**t, 1.0 - b2**t if b2 < 1.0 else 1.0
 
 
+def _adaptive_update(
+    state: OptimizerState, config: AdamConfig, num, v, c1: float, c2: float, live
+) -> np.ndarray:
+    """delta[live] <- -lr * (num/c1) / (sqrt(v/c2) + eps); returns state.delta.
+
+    num and v are views over every coordinate, copies over a live set. num
+    may live in temp, not in delta, whose first n slots take the denominator.
+    """
+    n = v.size
+    # x / 1.0 is x bit for bit, so a correction that has rounded to 1.0 is skipped
+    num_hat = num if c1 == 1.0 else np.divide(num, c1, out=state.temp[:n])
+    v_hat = v if c2 == 1.0 else np.divide(v, c2, out=state.delta[:n])
+    denom = np.sqrt(v_hat, out=state.delta[:n])
+    denom += config.epsilon
+    step = np.divide(num_hat, denom, out=denom)
+    step *= -config.lr
+    # to the live coordinates; numpy copies the overlapping right-hand side
+    # first, and over every coordinate the assignment is a no-op
+    state.delta[live] = step
+    return state.delta
+
+
 def adam_step(
     state: OptimizerState,
     config: AdamConfig,
@@ -246,11 +272,6 @@ def adam_step(
     case the raw gradient is augmented with ``weight_decay * theta`` before
     the moment updates (coupled L2); that gradient is dense whatever form
     ``grad`` came in, so ``live`` must then be every coordinate.
-
-    A bias correction that equals 1.0 (from t = 356 for c1 at beta1 = 0.9,
-    from t = 37,412 for c2 at beta2 = 0.999, and from t = 1 without bias
-    correction) is not divided by: the raw moment is used in place, which
-    gives the same bits because x / 1.0 == x exactly for every float64 x.
     """
     grad, idx = _check_grad(state, grad, coords)
     if config.weight_decay > 0.0:
@@ -265,21 +286,7 @@ def adam_step(
     _ema(state.v, config.beta2, idx, grad, state.t, square=True)
 
     c1, c2 = _bias_corrections(config, state.t)
-    # views of the moments over every coordinate, copies over a live set;
-    # either way the arithmetic lands in the first n slots of temp and delta
-    m, v = state.m[live], state.v[live]
-    n = m.size
-    # x / 1.0 is x bit for bit, so a correction that has rounded to 1.0 is skipped
-    m_hat = m if c1 == 1.0 else np.divide(m, c1, out=state.temp[:n])
-    v_hat = v if c2 == 1.0 else np.divide(v, c2, out=state.delta[:n])
-    denom = np.sqrt(v_hat, out=state.delta[:n])
-    denom += config.epsilon
-    step = np.divide(m_hat, denom, out=denom)
-    step *= -config.lr
-    # to the live coordinates; numpy copies the overlapping right-hand side
-    # first, and over every coordinate the assignment is a no-op
-    state.delta[live] = step
-    return state.delta
+    return _adaptive_update(state, config, state.m[live], state.v[live], c1, c2, live)
 
 
 def adam_settled(
@@ -312,25 +319,19 @@ def rmsprop_step(
     """Advance RMSProp by one step.
 
     Adam with beta1 = 0 and no bias correction, bit for bit when the gradient
-    spans every coordinate (a sparse zero update can differ in sign): the raw
-    gradient steers it. The update is ``state.delta``, valid until the next
-    step, and only on ``live`` when a live set is given.
+    spans every coordinate (a sparse zero update can differ in sign): the
+    adaptive update with the gradient, scattered over the live set, as its
+    numerator. That is +0.0 off the batch, where the update is thus exactly
+    -0.0, which is why ``rmsprop_settled`` holds. The update is
+    ``state.delta``, valid until the next step, and only on ``live``.
     """
     grad, idx = _check_grad(state, grad, coords)
     state.t += 1
     _ema(state.v, config.beta2, idx, grad, state.t, square=True)
-
-    v = state.v[live]
-    denom = np.sqrt(v, out=state.temp[: v.size])
-    denom += config.epsilon
-    state.temp[live] = denom  # each denominator at its coordinate; a no-op over all
-    # off the index the scattered gradient is a zero, divided like the rest;
     # the gradient is read before state.delta, where it may live, is written
-    touched = grad / state.temp[idx]
-    state.delta[live] = np.divide(0.0, state.temp[live], out=state.delta[: v.size])
-    state.delta[idx] = touched
-    state.delta[live] *= -config.lr
-    return state.delta
+    state.temp[live] = 0.0
+    state.temp[idx] = grad
+    return _adaptive_update(state, config, state.temp[live], state.v[live], 1.0, 1.0, live)
 
 
 def rmsprop_settled(
@@ -338,10 +339,9 @@ def rmsprop_settled(
 ) -> np.ndarray:
     """Which coordinates ``idx`` no RMSProp update moves until their next gradient.
 
-    Off its batch the update is 0/denominator * -lr, exactly -0.0 wherever
-    the denominator is positive, and -0.0 + theta == theta for every theta,
-    so ``theta`` is not read. The denominator stays positive only with
-    epsilon > 0: without it a v the flush zeroes leaves 0/0.
+    Off its batch the update is exactly -0.0 wherever the denominator is
+    positive, which takes epsilon > 0 (else a v the flush zeroes leaves 0/0),
+    and -0.0 leaves every theta as it is, so ``theta`` is not read.
     """
     return (np.sqrt(state.v[idx]) + config.epsilon > 0) & (config.epsilon > 0)
 
@@ -359,10 +359,7 @@ def sgd_momentum_step(
     The update is ``state.delta``, valid until the state's next step, and
     only on ``live`` when a live set is given.
     """
-    if not 0 < lr < math.inf:
-        raise ValueError(f"lr must be positive and finite, got {lr}")
-    if not 0.0 <= beta1 < 1.0:
-        raise ValueError(f"beta1 must lie in [0, 1), got {beta1}")
+    _check_lr_beta1(lr, beta1)
     grad, idx = _check_grad(state, grad, coords)
     state.t += 1
     _ema(state.m, beta1, idx, grad, state.t)

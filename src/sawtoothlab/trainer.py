@@ -312,8 +312,7 @@ class _LiveSet:
         self.idx = np.empty(dim, dtype=np.intp)
         self.n = 0
         self.settled = settled
-        # without a settling test every step indexes every coordinate
-        self.dense_from = DENSE_SHARE * dim if settled is not None else -1
+        self.dense_from = DENSE_SHARE * dim
 
     def join(self, coords) -> None:
         """Add coords, an int or an array of unique ints."""
@@ -391,11 +390,14 @@ def _train(config: RunConfig, epoch_loss_grad) -> RunResult:
             tracked_loss, t_coords, t_vals = loss_grad(config.tracked_batch, theta)
             dot_g = _dot(gbuf, t_coords, t_vals)
         if not diverged:
-            live.join(coords)
-            if probed and step == 0:
-                # dot_dtheta reads the update on the tracked batch all epoch
-                live.join(t_coords)
-            idx = live.index()
+            if settled is None:  # weight decay moves every coordinate every step
+                idx = ...
+            else:
+                live.join(coords)
+                if probed and step == 0:
+                    # dot_dtheta reads the update on the tracked batch all epoch
+                    live.join(t_coords)
+                idx = live.index()
             delta = step_fn(coords, vals, idx)  # state.delta, valid on idx until the next step
             theta[idx] += delta[idx]
             if state.t % FLUSH_EVERY == 0 and settled is not None:

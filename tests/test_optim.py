@@ -294,6 +294,32 @@ def test_only_check_grad_tells_the_gradient_forms_apart():
     assert not found
 
 
+def test_only_the_adaptive_update_takes_roots_and_divides():
+    # Adam and RMSProp end in one _adaptive_update call, so the square root,
+    # the eps floor and the divisions are written once; a stepper that
+    # divides or takes a root on its own keeps a second copy of the update
+    steppers = {"adam_step", "rmsprop_step", "sgd_momentum_step"}
+    scanned, found = set(), []
+    for func in ast.walk(ast.parse(inspect.getsource(optim))):
+        if not isinstance(func, ast.FunctionDef) or func.name not in steppers:
+            continue
+        scanned.add(func.name)
+        for node in ast.walk(func):
+            divides = isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(
+                node.op, ast.Div
+            )
+            calls = (
+                isinstance(node, ast.Attribute)
+                and isinstance(node.value, ast.Name)
+                and node.value.id == "np"
+                and node.attr in ("sqrt", "divide")
+            )
+            if divides or calls:
+                found.append(f"{func.name}:{node.lineno}")
+    assert scanned == steppers
+    assert not found
+
+
 @pytest.mark.parametrize("optimizer", ["adam", "rmsprop", "sgd"])
 def test_sparse_step_allocates_no_dense_array(optimizer):
     # the delta lands in the state's own buffers, so a sparse step off a

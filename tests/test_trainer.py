@@ -297,8 +297,9 @@ def test_settling_run_matches_building_blocks():
 @pytest.mark.parametrize(
     "overrides",
     [{}, {"probe_stride": 7}, {"optimizer": "rmsprop"}, {"optimizer": "sgd"},
-     {"x_init": 0.0, "bias_correction": False}, {"batch_size": 4, "tracked_batch": 3}],
-    ids=["adam", "probe_stride", "rmsprop", "sgd", "x0_raw", "adam_b4"],
+     {"x_init": 0.0, "bias_correction": False}, {"batch_size": 4, "tracked_batch": 3},
+     {"optimizer": "rmsprop", "batch_size": 4, "tracked_batch": 3}],
+    ids=["adam", "probe_stride", "rmsprop", "sgd", "x0_raw", "adam_b4", "rmsprop_b4"],
 )
 def test_trace_bits_do_not_depend_on_the_dense_share(share, overrides, monkeypatch):
     # share 0 steps every coordinate from the first step on, share 1 never
@@ -335,6 +336,16 @@ def test_live_set_holds_only_joined_coordinates_past_the_dense_share():
     assert kept.size <= trainer.DENSE_SHARE * dim
     np.testing.assert_array_equal(np.sort(live.index()), kept)
     np.testing.assert_array_equal(np.flatnonzero(live.mask), kept)
+
+
+def test_weight_decay_run_does_no_live_set_work(monkeypatch):
+    # weight decay has no settling test, so every step indexes every
+    # coordinate and joining the step's coordinates would be wasted work
+    joined = []
+    monkeypatch.setattr(trainer._LiveSet, "join", lambda self, coords: joined.append(coords))
+    result = run(RunConfig(weight_decay=0.1, **SMALL))
+    assert not result.diverged
+    assert joined == []
 
 
 def test_weight_decay_run_matches_building_blocks():
