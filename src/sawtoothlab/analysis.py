@@ -205,8 +205,9 @@ def fit_model(
     fitting. Because the model is linear in its coefficients, the same
     moving average is applied to every basis column, so the fitted
     coefficients still describe the raw-step model while the residual is
-    scored against the smoothed series. A shifted column is fitted at every
-    grid shift; ties prefer the smallest shift.
+    scored against the smoothed series. No window is a window of 1, which
+    averages nothing: that is the unsmoothed fit. A shifted column is
+    fitted at every grid shift; ties prefer the smallest shift.
     """
     spec = _trace_model(model)
     t, y = _as_series(t, y)
@@ -220,12 +221,11 @@ def fit_model(
     if window is not None and window < 1:
         raise ValueError(f"window must be >= 1, got {window}")
     notes: list[str] = []
-    cols = spec.basis(t, beta1, beta2)
-    smooth = window is not None and window > 1
-    if smooth:
-        y = window_average(y, window)
-        cols = [window_average(col, window) for col in cols]
-        notes.append(f"fit on window-{window} moving averages")
+    w = window or 1
+    y = window_average(y, w)
+    cols = [window_average(col, w) for col in spec.basis(t, beta1, beta2)]
+    if w > 1:
+        notes.append(f"fit on window-{w} moving averages")
     constant = bool(np.all(y == y[0]))
     if constant:
         notes.append("the series is constant, so r_squared says nothing")
@@ -236,21 +236,16 @@ def fit_model(
         notes.append(f"degenerate columns fixed at zero: {', '.join(dropped)}")
     # the shifted column, when there is one, is always live, constrained and last
     slots = live + list(range(len(cols), len(spec.coeffs)))
-    live_cols = [cols[i] for i in live]
+    X_fixed = np.column_stack([cols[i] for i in live])
     nonneg = np.array([spec.coeffs[i] in spec.nonneg for i in slots])
-
-    def design(shift: float | None) -> np.ndarray:
-        if shift is None:
-            return np.column_stack(live_cols)
-        col = 1.0 / (t + shift)
-        return np.column_stack(live_cols + [window_average(col, window) if smooth else col])
-
     # a model without a shifted column is a grid of one design
     shifts = HYPERBOLIC_SHIFT_GRID if spec.shift is not None else (None,)
     shared = {}
     beta_live = None
     for shift in shifts:
-        X_shift = design(shift)
+        X_shift = X_fixed
+        if shift is not None:
+            X_shift = np.column_stack((X_fixed, window_average(1.0 / (t + shift), w)))
         beta, res = _constrained_lstsq(X_shift, y, nonneg, shared)
         if beta_live is None or res < best_res - 1e-12 * max(1.0, best_res):
             best_res, beta_live, X, best_shift = res, beta, X_shift, shift

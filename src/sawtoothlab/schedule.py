@@ -65,40 +65,35 @@ class EpochSchedule:
         self.initial_shuffle = initial_shuffle
         self._seed = seed
         self.epoch = 0
-        self._order: np.ndarray | None = None
-        self._indices = np.empty(0, dtype=np.int64)  # the current epoch's order
+        self._order = np.empty(0, dtype=np.int64)  # the current epoch's order
         self._cursor = 0  # start of the current epoch's first undrawn batch
 
-    def _next_order(self) -> np.ndarray:
-        if self.policy == "shuffle" or (self._order is None and self.initial_shuffle):
-            return self.rng.permutation(self.num_samples)
-        if self._order is None:
-            return np.arange(self.num_samples)
-        return self._order[::-1].copy() if self.policy == "reverse" else self._order
-
-    def _begin_epoch(self) -> None:
+    def _epoch_order(self) -> np.ndarray:
+        """The current epoch's whole order, starting a new epoch if the last ran out."""
+        if self._cursor < len(self._order):
+            return self._order
         if self.epoch == 0:
             # made at the first draw: a schedule built to check a config imports no numpy.random
             self.rng = np.random.default_rng(self._seed)
         self.epoch += 1
+        n, b = self.num_samples, self.batch_size
         if self.policy == "replacement":
-            n, b = self.num_samples, self.batch_size
-            self._indices = self.rng.integers(0, n, size=batches_per_epoch(n, b) * b)
-        else:
-            self._indices = self._order = self._next_order()
+            self._order = self.rng.integers(0, n, size=batches_per_epoch(n, b) * b)
+        elif self.policy == "shuffle" or (self.epoch == 1 and self.initial_shuffle):
+            self._order = self.rng.permutation(n)
+        elif self.epoch == 1:
+            self._order = np.arange(n)
+        elif self.policy == "reverse":
+            self._order = self._order[::-1].copy()
+        # a fixed order stays as it is
         self._cursor = 0
-
-    def peek_epoch_order(self) -> np.ndarray:
-        """The current epoch's whole order, starting a new epoch if the last ran out."""
-        if self._cursor >= len(self._indices):
-            self._begin_epoch()
-        return self._indices
+        return self._order
 
     def next_batch(self) -> Batch:
         """The next batch, starting a new epoch whenever the last ran out."""
         from .problem import Batch
 
-        indices, start = self.peek_epoch_order(), self._cursor
+        indices, start = self._epoch_order(), self._cursor
         self._cursor += self.batch_size
         return Batch(indices=indices[start : self._cursor])
 
@@ -109,7 +104,7 @@ class EpochSchedule:
         boundary it hands over every epoch whole: batch k is the k-th slice
         of batch_size, as next_batch would have drawn it.
         """
-        indices, start = self.peek_epoch_order(), self._cursor
+        indices, start = self._epoch_order(), self._cursor
         self._cursor = len(indices)
         return indices[start:]
 
@@ -117,7 +112,7 @@ class EpochSchedule:
         """The current epoch's batches, starting a new epoch if the last ran out."""
         from .problem import Batch
 
-        indices, b = self.peek_epoch_order(), self.batch_size
+        indices, b = self._epoch_order(), self.batch_size
         return [Batch(indices=indices[k : k + b]) for k in range(0, len(indices), b)]
 
 

@@ -38,11 +38,6 @@ def reduced_run() -> TimedRun:
     return _timed(**REDUCED)
 
 
-# The OpenBLAS core whose kernels computed the recorded digests. A BLAS
-# reduction may round differently on another core (README).
-RECORDED_CORE = "SkylakeX"
-
-
 @functools.cache
 def openblas_core() -> str:
     """The core OpenBLAS runs numpy's BLAS on, as OpenBLAS names it.
@@ -58,6 +53,17 @@ def openblas_core() -> str:
     return corename().decode()
 
 
-def digest_note() -> str:
-    """What a digest assertion says when it fails: where it was recorded, where it runs."""
-    return f"digest recorded on OpenBLAS core {RECORDED_CORE}, running on {openblas_core()}"
+def assert_digest(digest: str, recorded: dict[str, str]) -> None:
+    """Check a digest against its recording on the running OpenBLAS core.
+
+    A BLAS reduction may round differently on another core (README), so a
+    digest is recorded per core: `recorded` maps each core's name to its
+    value. On a core with no recording the check fails, naming the
+    recorded cores and the running one.
+    """
+    core = openblas_core()
+    if core not in recorded:
+        pytest.fail(
+            f"no digest recorded on OpenBLAS core {core}; recorded on {', '.join(recorded)}"
+        )
+    assert digest == recorded[core], f"digest differs from its recording on OpenBLAS core {core}"

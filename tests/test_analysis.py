@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 import reference_impl
-from conftest import digest_note
+from conftest import assert_digest
 from sawtoothlab.analysis import (
     DEMO_GRAD_SQUARED,
     DEMO_MOMENTUM,
@@ -278,65 +278,105 @@ def _fit_digest(model, window, betas):
 # _model_series, recorded before the five fitters shared fit_model; the
 # flag is taken as a bool because the linear fitters returned numpy bools.
 FIT_DIGESTS = {
-    ("g_norm", None):
-        "7349bbe3fe8e22c1af61708084ce94abe16b9f814d49c454171b54863402dbfd",
-    ("g_norm", 25):
-        "407b98b32aa00a5e0924f0b56bd06a28f4c4799e5e34c03187e5eba95702f584",
-    ("m_norm", None):
-        "91c8e9c89dca57cce357d4b9c08c95ab4cb7db7f82b6883420bab9ef0e71e747",
-    ("m_norm", 25):
-        "ce8357ba2b86c2b192d0efd93b832bbfa524ce3de5b289fd6902ab3213da8da5",
-    ("v_norm", None):
-        "80aae3285522d7422852c28f0d391b707c407d8b1a52f91609cfbc1811ee85c8",
-    ("v_norm", 25):
-        "6913ec093415d57d378a8d695887eb3cd2ce927d417769acde53a8d5562786c7",
-    ("dot_m", None):
-        "3d149d24da0440fed4c90ae3a19df7f33de48f58a7de3452a524b1fcef9b7003",
-    ("dot_m", 25):
-        "a71152fdb989d6f8b2a33d62d7e66f0b0bcbda0161341f30f5aa5f8c8ec438df",
-    ("dot_dtheta", None):
-        "710de2d811cf2d91c0729e52689a4cc9f48be30e51d1d6f227bed7199cf802bc",
-    ("dot_dtheta", 25):
-        "56f41ee4534c74810d69bff95212f93800e7a2b69d9c96b9015f3616c227ee24",
+    ("g_norm", None): {
+        "SkylakeX": "7349bbe3fe8e22c1af61708084ce94abe16b9f814d49c454171b54863402dbfd",
+        "Haswell": "9d17beb5403a9424213ef2bcd6a2dbd49a10b909c91e64fc54120bb3d853dcbc",
+    },
+    ("g_norm", 25): {
+        "SkylakeX": "407b98b32aa00a5e0924f0b56bd06a28f4c4799e5e34c03187e5eba95702f584",
+        "Haswell": "7b8f1f3bb2d78d5267255e9acb41942b7d5a12bf767b635ab9ed4769fc3cebfc",
+    },
+    ("m_norm", None): {
+        "SkylakeX": "91c8e9c89dca57cce357d4b9c08c95ab4cb7db7f82b6883420bab9ef0e71e747",
+        "Haswell": "a4c3953564fe94982e0ad48059fdb77151b0843ec5ff310639fa66559d236782",
+    },
+    ("m_norm", 25): {
+        "SkylakeX": "ce8357ba2b86c2b192d0efd93b832bbfa524ce3de5b289fd6902ab3213da8da5",
+        "Haswell": "f1863a2cd6341487b2d77781ee9381e47b4bbbc7e73f26684d13dcb403630bb4",
+    },
+    ("v_norm", None): {
+        "SkylakeX": "80aae3285522d7422852c28f0d391b707c407d8b1a52f91609cfbc1811ee85c8",
+        "Haswell": "92049adc4940c5108c9ddfdf001530b37bbc806f6a7d7957854403a2e52bc17d",
+    },
+    ("v_norm", 25): {
+        "SkylakeX": "6913ec093415d57d378a8d695887eb3cd2ce927d417769acde53a8d5562786c7",
+        "Haswell": "fdf445de70aeb339843f0eb8ed305b220197a72b771af986365bdffcade7efb0",
+    },
+    ("dot_m", None): {
+        "SkylakeX": "3d149d24da0440fed4c90ae3a19df7f33de48f58a7de3452a524b1fcef9b7003",
+        "Haswell": "c56fc06026b4770ecf5c576d43bfcef244d3a755469f4105dd2a715cfd5b0608",
+    },
+    ("dot_m", 25): {
+        "SkylakeX": "a71152fdb989d6f8b2a33d62d7e66f0b0bcbda0161341f30f5aa5f8c8ec438df",
+        "Haswell": "1143017457f0e4a0cbd9a61faa18f0e4b3203ca472c8d146651c36af1f1c203f",
+    },
+    ("dot_dtheta", None): {
+        "SkylakeX": "710de2d811cf2d91c0729e52689a4cc9f48be30e51d1d6f227bed7199cf802bc",
+        "Haswell": "5bab6865fa670b285e75457020d8d4ba79686c648d167e0fc5b38c00d59ccea2",
+    },
+    ("dot_dtheta", 25): {
+        "SkylakeX": "56f41ee4534c74810d69bff95212f93800e7a2b69d9c96b9015f3616c227ee24",
+        "Haswell": "8df5ac8c3cc2591fd42f90b1ab3dbebc900ab1e6dd0ba085b966d782d6b91fb1",
+    },
 }
 # The same at beta1 = 0, where the decaying column vanishes from t = 1 on.
 # dot_dtheta's two digests were recorded after the change: its fitter used
 # to keep the zero column, report degenerate = False and add no note, with
 # coefficients a few ulps away from the ones the dropped column gives.
 BETA1_ZERO_DIGESTS = {
-    ("g_norm", None):
-        "72e1ddab17ed3e8273b1f47d1cd0e0461a727bf75cbeffbc5be402f395bce0e9",
-    ("g_norm", 25):
-        "52cea76751dc5743d1e5739ce32a393ebd4918749ad13f0f18e1c0813d6f1f7f",
-    ("m_norm", None):
-        "f9470e61ba304f68dd7180c25db4a78357da641894705c0fa1c869bfd7c49b82",
-    ("m_norm", 25):
-        "22f833dad75da1b69b29bcf7bd0d4b4751f84a9baf27cda4345a51ea73e21302",
-    ("v_norm", None):
-        "cdb5ee44ad557d71e5672041276c2adc1a9f7d07ee696e99c9e11552923e62f6",
-    ("v_norm", 25):
-        "54dada7860f74f00eb2cdd5c74c007dbd6e8edd7b927102275a168e2a5ff1fc0",
-    ("dot_m", None):
-        "4931f6ecdfbbddf83573b5e2bd2272221ac20f4f6ad1d53b7d9be630c7f6f879",
-    ("dot_m", 25):
-        "fad8f1f522e6afffa97ffde6b020e0cdbab0558ee86678e111d67183c46cae2c",
-    ("dot_dtheta", None):
-        "d52f1c8cff83019aaf7adfe1453a830cb98677e1476013e35c0570611f2a3569",
-    ("dot_dtheta", 25):
-        "2d37a7c6122f878d490a3ac86938880e736f8caa6768a6795b72c6690fe1e494",
+    ("g_norm", None): {
+        "SkylakeX": "72e1ddab17ed3e8273b1f47d1cd0e0461a727bf75cbeffbc5be402f395bce0e9",
+        "Haswell": "65745865638308aecc162942e687779d779ed06917ed7490f693f2bbee4eb3ed",
+    },
+    ("g_norm", 25): {
+        "SkylakeX": "52cea76751dc5743d1e5739ce32a393ebd4918749ad13f0f18e1c0813d6f1f7f",
+        "Haswell": "7b3c722bf9f451a398277545fbe51142534a3cf858151590ff8ce459bc0ae169",
+    },
+    ("m_norm", None): {
+        "SkylakeX": "f9470e61ba304f68dd7180c25db4a78357da641894705c0fa1c869bfd7c49b82",
+        "Haswell": "46beaf0703aeadc626f9f249dce3410f97c4667720d7812c503ec92cf27b1fc8",
+    },
+    ("m_norm", 25): {
+        "SkylakeX": "22f833dad75da1b69b29bcf7bd0d4b4751f84a9baf27cda4345a51ea73e21302",
+        "Haswell": "5e0f3f92a9868195d6af557e81042935aedaf6ab8ca6f5d5a28c18cfef3a522d",
+    },
+    ("v_norm", None): {
+        "SkylakeX": "cdb5ee44ad557d71e5672041276c2adc1a9f7d07ee696e99c9e11552923e62f6",
+        "Haswell": "ead320b392243f299a50533b8f9ed70507ef468ed2343d320959c44ba2c2916a",
+    },
+    ("v_norm", 25): {
+        "SkylakeX": "54dada7860f74f00eb2cdd5c74c007dbd6e8edd7b927102275a168e2a5ff1fc0",
+        "Haswell": "6f82f9da6f5176a21f02404ea1516651f512b135465749bb6a42111fdf4d2f3e",
+    },
+    ("dot_m", None): {
+        "SkylakeX": "4931f6ecdfbbddf83573b5e2bd2272221ac20f4f6ad1d53b7d9be630c7f6f879",
+        "Haswell": "477b62357ec619b442e84c4cd679d21464609f059a88d7959d029879cdbaf189",
+    },
+    ("dot_m", 25): {
+        "SkylakeX": "fad8f1f522e6afffa97ffde6b020e0cdbab0558ee86678e111d67183c46cae2c",
+        "Haswell": "67d4816acc54991fe109129a07996621b5da4c1166051cba402a55a64c4e9103",
+    },
+    ("dot_dtheta", None): {
+        "SkylakeX": "d52f1c8cff83019aaf7adfe1453a830cb98677e1476013e35c0570611f2a3569",
+        "Haswell": "42a4c7c28c52f5eba7528eeb5e688e755bccd2934915b3a378610a80c1876917",
+    },
+    ("dot_dtheta", 25): {
+        "SkylakeX": "2d37a7c6122f878d490a3ac86938880e736f8caa6768a6795b72c6690fe1e494",
+        "Haswell": "30339a99c4e571fa34932efe4b8b787891b0b8fd60255b61b43939707a206353",
+    },
 }
 
 
 @pytest.mark.parametrize("model, window", list(FIT_DIGESTS))
 def test_fit_results_match_recorded_digests(model, window):
     betas = ((0.9, 0.999), (0.9, 1.0))
-    assert _fit_digest(model, window, betas) == FIT_DIGESTS[model, window], digest_note()
+    assert_digest(_fit_digest(model, window, betas), FIT_DIGESTS[model, window])
 
 
 @pytest.mark.parametrize("model, window", list(BETA1_ZERO_DIGESTS))
 def test_beta1_zero_fit_results_match_recorded_digests(model, window):
     betas = ((0.0, 0.999),)
-    assert _fit_digest(model, window, betas) == BETA1_ZERO_DIGESTS[model, window], digest_note()
+    assert_digest(_fit_digest(model, window, betas), BETA1_ZERO_DIGESTS[model, window])
 
 
 @pytest.mark.parametrize("window", [None, 25])
@@ -443,6 +483,13 @@ def test_fit_solve_counts(monkeypatch, model, beta1, window, solves):
     t, y = next(_planted_series())
     fit_model(model, t, y, beta1, 0.999, window)
     assert len(calls) == solves
+
+
+@pytest.mark.parametrize("model", list(TRACE_MODELS))
+def test_a_window_of_one_is_the_unsmoothed_fit(model):
+    # the CLI's default --window 1 fits exactly what no window fits
+    t, y = next(_planted_series())
+    assert fit_model(model, t, y, 0.9, 0.999, 1) == fit_model(model, t, y, 0.9, 0.999, None)
 
 
 @pytest.mark.parametrize("model", list(TRACE_MODELS))

@@ -1,5 +1,6 @@
 """Batch ordering policies and the boundary-overlap statistic."""
 
+import hashlib
 import math
 import tracemalloc
 
@@ -125,6 +126,36 @@ def test_peek_does_not_advance():
     served = [sched.next_batch() for _ in range(4)]
     for p, s in zip(planned, served):
         np.testing.assert_array_equal(p.indices, s.indices)
+
+
+def _schedule_draws_digest():
+    """SHA-256 over every policy's orders, drawn whole and through the batch methods."""
+    h = hashlib.sha256()
+    for policy in POLICIES:
+        for initial_shuffle in (False, True):
+            for n, b in ((37, 5), (40, 4), (7, 7)):
+                whole = EpochSchedule(policy, n, b, seed=21, initial_shuffle=initial_shuffle)
+                for _ in range(4):
+                    h.update(whole.next_epoch_order().tobytes())
+                mixed = EpochSchedule(policy, n, b, seed=21, initial_shuffle=initial_shuffle)
+                for _ in range(3):
+                    for batch in mixed.peek_epoch_batches():
+                        h.update(batch.indices.tobytes())
+                    h.update(mixed.next_batch().indices.tobytes())
+                    h.update(mixed.peek_epoch_batches()[-1].indices.tobytes())
+                    h.update(mixed.next_epoch_order().tobytes())
+    return h.hexdigest()
+
+
+# Recorded while the schedule kept each permutation order twice, once as
+# the order of its epoch and once as the base of the next.
+SCHEDULE_DRAWS_DIGEST = "560198e2ea48b9852ed67169267606171f424b70b99a7637730a08ad0adaa71d"
+
+
+def test_schedule_draws_match_the_recorded_digest():
+    # every policy with and without initial_shuffle, at epochs that end on a
+    # short batch, on a full one, and that are one batch long
+    assert _schedule_draws_digest() == SCHEDULE_DRAWS_DIGEST
 
 
 def test_expected_overlap_values():
