@@ -218,10 +218,8 @@ def fit_model(
     _check_beta(beta2, "beta2", upper_inclusive=True)
     if np.any(t < spec.min_t):
         raise ValueError(f"the {model} model needs t >= {spec.min_t:g}")
-    if window is not None and window < 1:
-        raise ValueError(f"window must be >= 1, got {window}")
     notes: list[str] = []
-    w = window or 1
+    w = 1 if window is None else window
     y = window_average(y, w)
     cols = [window_average(col, w) for col in spec.basis(t, beta1, beta2)]
     if w > 1:
@@ -366,7 +364,7 @@ def window_average(y: np.ndarray, window: int) -> np.ndarray:
     if window > len(y):
         raise ValueError(f"window {window} exceeds series length {len(y)}")
     if window == 1:
-        return y.copy()
+        return y.copy()  # np.convolve sums into +0.0, which would turn a -0.0 into +0.0
     kernel = np.full(window, 1.0 / window)
     return np.convolve(y, kernel, mode="valid")
 

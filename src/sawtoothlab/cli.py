@@ -51,8 +51,6 @@ def _resolve_spec_path(name: str) -> Path:
 
 
 def _execute_point(job: tuple) -> dict:
-    from dataclasses import asdict
-
     import numpy as np
 
     from .analysis import default_window, esp_metrics, window_average
@@ -61,7 +59,6 @@ def _execute_point(job: tuple) -> dict:
     from .trainer import run as run_training
 
     label, config, point_dir, emit, window = job
-    point_dir = Path(point_dir)
     point_dir.mkdir(parents=True, exist_ok=True)
     result = run_training(config)
     # one window from the schedule's epoch, for the metrics and the svg alike
@@ -72,7 +69,7 @@ def _execute_point(job: tuple) -> dict:
         write_epochs_csv(metrics, point_dir / "epochs.csv")
     meta = {
         "label": label,
-        "config": asdict(config),
+        "config": config,
         "diverged": result.diverged,
         "divergence_step": result.divergence_step,
         "epoch_mean_loss": result.epoch_mean_loss,
@@ -119,7 +116,7 @@ def cmd_run(args) -> None:
     jobs = []
     for label, config in points:
         point_dir = out_dir if len(points) == 1 else out_dir / label
-        jobs.append((label, config, str(point_dir), spec.emit, spec.window))
+        jobs.append((label, config, point_dir, spec.emit, spec.window))
     if spec.workers > 1 and len(jobs) > 1:
         from concurrent.futures import ProcessPoolExecutor
 

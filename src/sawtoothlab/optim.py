@@ -199,14 +199,13 @@ flush clears them.
 """
 
 
-def _ema(arr: np.ndarray, beta: float, idx, x, t: int, square: bool = False) -> None:
-    """arr <- beta*arr + (1-beta)*x, where x lives on arr[idx], at step t.
+def _ema(arr: np.ndarray, beta: float, idx, x, t: int) -> None:
+    """arr <- beta*arr + (1-beta)*x, x on arr[idx] (grad * grad for a second moment).
 
-    With square, x^2 takes x's place.
-    Every FLUSH_EVERY steps the magnitudes below MOMENT_FLOOR go to zero.
+    At each step t that FLUSH_EVERY divides, the magnitudes below MOMENT_FLOOR go to zero.
     """
     arr *= beta
-    arr[idx] += (1.0 - beta) * (x * x if square else x)
+    arr[idx] += (1.0 - beta) * x
     if t % FLUSH_EVERY == 0:
         mask = np.absolute(arr) < MOMENT_FLOOR
         if mask.any():
@@ -283,7 +282,7 @@ def adam_step(
 
     state.t += 1
     _ema(state.m, config.beta1, idx, grad, state.t)
-    _ema(state.v, config.beta2, idx, grad, state.t, square=True)
+    _ema(state.v, config.beta2, idx, grad * grad, state.t)
 
     c1, c2 = _bias_corrections(config, state.t)
     return _adaptive_update(state, config, state.m[live], state.v[live], c1, c2, live)
@@ -327,7 +326,7 @@ def rmsprop_step(
     """
     grad, idx = _check_grad(state, grad, coords)
     state.t += 1
-    _ema(state.v, config.beta2, idx, grad, state.t, square=True)
+    _ema(state.v, config.beta2, idx, grad * grad, state.t)
     # the gradient is read before state.delta, where it may live, is written
     state.temp[live] = 0.0
     state.temp[idx] = grad

@@ -114,7 +114,7 @@ class EpochGather:
         if batch_size > 1:
             self._a2 = self._a * 2.0  # exact, so a2 * d rounds as 2.0 * a * d does
             self._perm = np.argsort(self._j, axis=1)
-            self._coords = np.sort(self._j, axis=1)  # self._j[perm], row by row
+            self._coords = np.take_along_axis(self._j, self._perm, axis=1)
             self._shared = (self._coords[:, 1:] == self._coords[:, :-1]).any(axis=1)
         rest = len(order) - body
         self._last = EpochGather(problem, order[body:], rest) if rest else None

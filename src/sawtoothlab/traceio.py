@@ -34,7 +34,6 @@ import itertools
 import json
 import math
 from dataclasses import asdict, fields
-from typing import get_type_hints
 
 import numpy as np
 
@@ -59,8 +58,8 @@ _WRITE_CHUNK_ROWS = 256
 def write_columns(path, columns: dict, blank_nan=()) -> None:
     r"""Write equal-length columns under a header of their names.
 
-    Int columns are rendered with str and every other column with repr of
-    float64; a NaN cell is left empty in the columns named in blank_nan.
+    Every cell is the repr of its Python value, so an int reads 3 and a
+    float 3.0; a NaN cell is left empty in the columns named in blank_nan.
     Lines end in \r\n, byte for byte what csv.writer emits for these cells.
     """
     arrays = {name: np.asarray(col) for name, col in columns.items()}
@@ -72,10 +71,7 @@ def write_columns(path, columns: dict, blank_nan=()) -> None:
             cells = []
             for name, col in arrays.items():
                 col = col[start : start + _WRITE_CHUNK_ROWS]
-                if col.dtype.kind in "iu":
-                    cells.append(map(str, col.tolist()))
-                    continue
-                text = list(map(repr, col.astype(np.float64, copy=False).tolist()))
+                text = list(map(repr, col.tolist()))
                 if name in blank_nan:
                     for i in np.flatnonzero(np.isnan(col)).tolist():
                         text[i] = empty
@@ -154,12 +150,8 @@ def read_trace_csv(path, *, epoch=None) -> Trace:
 
 
 def write_epochs_csv(metrics: list[EspMetrics], path) -> None:
-    """One row per epoch: the EspMetrics fields in declaration order, typed by annotation."""
-    hints = get_type_hints(EspMetrics)
-    columns = {
-        f.name: np.array([getattr(m, f.name) for m in metrics], dtype=hints[f.name])
-        for f in fields(EspMetrics)
-    }
+    """One row per epoch: the EspMetrics fields in declaration order, each value's repr."""
+    columns = {f.name: [getattr(m, f.name) for m in metrics] for f in fields(EspMetrics)}
     write_columns(path, columns)
 
 

@@ -42,6 +42,13 @@ def _trace(epochs, losses):
 def test_window_average_values():
     np.testing.assert_allclose(window_average([1.0, 2.0, 3.0, 4.0], 2), [1.5, 2.5, 3.5])
     np.testing.assert_allclose(window_average([5.0, 7.0], 1), [5.0, 7.0])
+    # a window of 1 is a copy of y, bit for bit: np.convolve sums into +0.0,
+    # so it would turn -0.0 into +0.0; the last value is a NaN with a payload
+    y = np.array([-0.0, 5e-324, np.inf, -np.inf, np.nan, 7.0, 0.0])
+    y.view(np.int64)[-1] = 0x7FF8000000000123
+    averaged = window_average(y, 1)
+    assert averaged is not y and not np.shares_memory(averaged, y)
+    np.testing.assert_array_equal(averaged.view(np.int64), y.view(np.int64))
     with pytest.raises(ValueError):
         window_average([1.0], 0)
     # np.convolve would swap a kernel longer than its input and average anyway

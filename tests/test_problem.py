@@ -86,17 +86,36 @@ def test_batch_mean_convention():
 
 
 def test_grad_matches_finite_differences():
+    # batch_grad's scatter, then every EpochGather row over one permutation:
+    # the scalar row (B = 1, and B = 7's one-member last row), array rows
+    # with and without shared coordinates, a short last row (B = 8) and the
+    # whole epoch (B = 50)
     p = generate_quadratic(3, 50, 20)
     rng = np.random.default_rng(5)
     x = rng.normal(size=20)
-    b = Batch(np.arange(0, 50, 7))
-    g = batch_grad(p, b, x)
     h = 1e-5
-    for j in range(20):
-        e = np.zeros(20)
-        e[j] = h
-        fd = (batch_loss(p, b, x + e) - batch_loss(p, b, x - e)) / (2 * h)
-        assert g[j] == pytest.approx(fd, rel=1e-6, abs=1e-8)
+
+    def check(grad, loss):
+        for j in range(20):
+            e = np.zeros(20)
+            e[j] = h
+            fd = (loss(x + e) - loss(x - e)) / (2 * h)
+            assert grad[j] == pytest.approx(fd, rel=1e-6, abs=1e-8)
+
+    b = Batch(np.arange(0, 50, 7))
+    check(batch_grad(p, b, x), lambda z: batch_loss(p, b, z))
+    order = np.random.default_rng(4).permutation(50)
+    shared = set()
+    for batch_size in (1, 7, 8, 50):
+        gather = EpochGather(p, order, batch_size)
+        for k in range(len(gather)):
+            _, coords, vals = gather.loss_grad(k, x)
+            grad = np.zeros(20)
+            grad[coords] = vals
+            check(grad, lambda z: gather.loss_grad(k, z)[0])
+            j = p.dim_index[order[k * batch_size : (k + 1) * batch_size]]
+            shared.add((len(j) > 1, len(np.unique(j)) < len(j)))
+    assert shared == {(False, False), (True, False), (True, True)}
 
 
 def test_gradient_sparsity_bound():

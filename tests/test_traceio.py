@@ -10,7 +10,7 @@ from xml.etree import ElementTree
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import reference_impl
@@ -302,6 +302,17 @@ _METRICS = st.builds(
 
 @settings(max_examples=60, deadline=None)
 @given(st.lists(_METRICS, max_size=6))
+@example([])
+# integral floats, as from an epoch too short for a curvature fit: ints read
+# 3 and floats 0.0, as the reference's str(int) and repr(float) write them
+@example(
+    [
+        EspMetrics(
+            epoch=3, loss_start=2.0, loss_end=1.0, rise=-1.0, drop=float("nan"),
+            amplitude=float("nan"), curvature=0.0, concavity_sign=0,
+        )
+    ]
+)
 def test_epochs_csv_matches_reference(metrics):
     with tempfile.TemporaryDirectory() as tmp:
         written, expected = Path(tmp) / "new.csv", Path(tmp) / "reference.csv"
